@@ -1,4 +1,4 @@
-"""Experiment harness: data ingestion, solver racing, trace export.
+"""Experiment harness: data ingestion, solver runs, trace export.
 
 The benchmark entry point is :func:`run_experiment`, driven by an
 ``ExperimentConfig`` (JSON-friendly).  All solvers in one experiment observe
@@ -16,15 +16,17 @@ plus the rate-fit reference objective and one summary record per solver
 Config JSON keys: ``loss``, ``penalty {kind, params}``,
 ``data {kind, ...}``, ``solvers [{name, s, w0, K}]``, ``output_dir``, ``x0``,
 ``seed``, ``tail_fraction``, ``record_timing``, ``reference_multiple``.
+Solver names must be unique; each ``K`` and ``reference_multiple`` is an
+integer >= 1.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
-import os
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,10 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .harness_util import fit_rate  # re-export  # noqa: F401
 from .piecewise import builtin_penalty
 from .smooth import Dataset, least_squares, logistic_loss
-from .solvers import Problem, Trace, apg_monotone, default_step_size, pgd, ppgd
+from .solvers import (Problem, Trace, apg_monotone, default_step_size, pgd, ppgd,
+                      stationarity_residual)
 
 __all__ = [
     "IdxFormatError",
@@ -191,6 +193,10 @@ def synth(kind: str, n: int, d: int, sparsity: float = 0.2, noise: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     name: str
@@ -201,8 +207,8 @@ class SolverSpec:
     def __post_init__(self):
         if self.name not in _SOLVERS:
             raise ValueError(f"unknown solver {self.name!r}; expected one of {sorted(_SOLVERS)}")
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
+        if not _is_count(self.K):
+            raise ValueError(f"solver {self.name!r}: K must be an integer >= 1, got {self.K!r}")
 
 
 @dataclass(frozen=True)
@@ -217,6 +223,15 @@ class ExperimentConfig:
     tail_fraction: float = 0.5
     record_timing: bool = True
     reference_multiple: int = 5
+
+    def __post_init__(self):
+        names = [spec.name for spec in self.solvers]
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        if duplicates:
+            raise ValueError(f"solver names must be unique; repeated: {duplicates}")
+        if not _is_count(self.reference_multiple):
+            raise ValueError("reference_multiple must be an integer >= 1, "
+                             f"got {self.reference_multiple!r}")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -318,14 +333,40 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _max_workers() -> int:
-    cap = os.environ.get("PIECEWISE_PROX_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise ValueError(f"PIECEWISE_PROX_THREADS={cap!r} is not an integer") from None
-    return os.cpu_count() or 1
+# ---------------------------------------------------------------------------
+# rate fit and experiment
+# ---------------------------------------------------------------------------
+
+_FLOOR_SHIFT = 1e-12
+_FLOOR_CUTOFF = 1e-11
+_MIN_POINTS = 20
+
+
+def fit_rate(trace, tail_fraction: float, f_ref: float) -> float:
+    """Least-squares slope of log(F - F_ref') versus log k over the trace tail.
+
+    ``f_ref`` should be the minimum objective of a several-times-longer
+    reference run; it is shifted down by 1e-12 so exact convergence stays
+    loggable.  Rows whose gap sits at the shift floor are treated as converged
+    and dropped; if fewer than 20 fittable rows remain the run is reported as
+    already converged with the sentinel slope -inf.
+    """
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError("tail_fraction must lie in (0, 1]")
+    k = np.asarray(trace.k, dtype=float)
+    F = np.asarray(trace.objective, dtype=float)
+    n = len(k)
+    start = max(1, n - int(math.ceil(tail_fraction * n)))  # k = 0 never enters
+    k = k[start:]
+    F = F[start:]
+    gaps = F - (f_ref - _FLOOR_SHIFT)
+    usable = gaps > _FLOOR_CUTOFF
+    if int(usable.sum()) < _MIN_POINTS:
+        return -math.inf
+    logs_k = np.log(k[usable])
+    logs_g = np.log(gaps[usable])
+    slope, _ = np.polyfit(logs_k, logs_g, 1)
+    return float(slope)
 
 
 def _run_one(problem: Problem, x0: np.ndarray, spec: SolverSpec,
@@ -337,35 +378,48 @@ def _run_one(problem: Problem, x0: np.ndarray, spec: SolverSpec,
     return fn(problem, x0, s=s, K=spec.K, record_timing=record_timing)
 
 
+def _prefix(problem: Problem, trace: Trace, K: int) -> Trace:
+    """The trace a K-iteration call would return, cut from a longer run.
+
+    Exact, because no solver's iteration k depends on its K; only the final
+    residual, taken at the last kept iterate, is recomputed.
+    """
+    n = K + 1
+    return dataclasses.replace(
+        trace,
+        k=trace.k[:n],
+        objective=trace.objective[:n],
+        surrogate_objective=trace.surrogate_objective[:n],
+        transitions=trace.transitions[:n],
+        nce_outcomes=trace.nce_outcomes[:n],
+        wall_ms=trace.wall_ms[:n],
+        iterates=trace.iterates[:n],
+        assignments=trace.assignments[:n],
+        final_residual=stationarity_residual(problem, trace.iterates[K], trace.s),
+    )
+
+
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run every configured solver on one shared problem and export artifacts.
 
     Writes ``trace_<solver>.csv`` per solver plus ``report.json`` under the
-    config's output directory.  The rate-fit reference objective comes from a
-    ``reference_multiple`` x longer run of the first configured solver.
+    config's output directory.  The solvers run one after another, in config
+    order.  The first one runs ``reference_multiple`` x its K iterations: that
+    run supplies the rate-fit reference objective, and its first K iterations
+    are that solver's trace.
     """
     problem, x0 = build_problem(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     specs = list(cfg.solvers)
-    workers = min(_max_workers(), len(specs))
-    traces: dict[str, Trace] = {}
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {s.name: pool.submit(_run_one, problem, x0, s, cfg.record_timing)
-                       for s in specs}
-            for name, fut in futures.items():
-                traces[name] = fut.result()
-    else:
-        for s in specs:
-            traces[s.name] = _run_one(problem, x0, s, cfg.record_timing)
-
     ref_spec = specs[0]
     ref = _run_one(problem, x0,
-                   SolverSpec(ref_spec.name, ref_spec.s, ref_spec.w0,
-                              ref_spec.K * cfg.reference_multiple),
+                   dataclasses.replace(ref_spec, K=ref_spec.K * cfg.reference_multiple),
                    cfg.record_timing)
+    traces: dict[str, Trace] = {ref_spec.name: _prefix(problem, ref, ref_spec.K)}
+    for spec in specs[1:]:
+        traces[spec.name] = _run_one(problem, x0, spec, cfg.record_timing)
     f_ref = min(min(float(t.objective.min()) for t in traces.values()),
                 float(ref.objective.min()))
 

@@ -422,8 +422,6 @@ class SurrogateFn:
             pts.append(p.left)
         if self.right_case != CASE_NONE and p.right != p.left:
             pts.append(p.right)
-        elif self.right_case != CASE_NONE and p.is_point:
-            pass  # single breakpoint already listed
         return pts
 
 
@@ -536,10 +534,6 @@ class PiecewiseFn:
         if m not in cache:
             cache[m] = _make_surrogate(self, m)
         return cache[m]
-
-
-def _boundary_tag(fn: PiecewiseFn, j: int) -> Endpoint:
-    return fn.endpoints[j]
 
 
 def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
@@ -926,7 +920,7 @@ def from_json(text: str) -> PiecewiseFn:
         if tag not in _SHAPE_TAGS:
             raise PiecewiseBuildError(f"unknown shape tag {tag!r}")
         shape = _SHAPE_TAGS[tag](**shape_rec)
-        specs.append(PieceSpec(_num_in(rec["left"]), _num_in(rec["right"]), shape))
+        specs.append(PieceSpec(float(rec["left"]), float(rec["right"]), shape))
     return build_piecewise(specs, doc["continuity"])
 
 
@@ -936,9 +930,3 @@ def _num_out(v: float):
     if v == -math.inf:
         return "-inf"
     return v
-
-
-def _num_in(v):
-    if isinstance(v, str):
-        return float(v)
-    return float(v)

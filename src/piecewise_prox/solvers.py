@@ -12,6 +12,7 @@ Three algorithms share the machinery here:
                        and a negative-curvature-exploitation step decides
                        whether an iterate may cross onto new pieces.
 
+All three run through one loop and differ only in their per-iteration step.
 With a single convex piece the projection is the identity and ``ppgd`` reduces
 exactly to ``apg_monotone``.
 """
@@ -19,6 +20,7 @@ exactly to ``apg_monotone``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -411,6 +413,64 @@ def _check_finite(F: float, solver: str, k: int) -> None:
         raise SolverError(f"{solver}: non-finite objective at iteration {k} (diverging step?)")
 
 
+def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
+           w0: Optional[float], stop_tol: Optional[float], record_timing: bool) -> Trace:
+    """The iteration every solver shares.
+
+    Validates the arguments, keeps the momentum state (x_prev, z, t) and
+    extrapolates u from it, records piece transitions and the trace, applies
+    the ``stop_tol`` early stop and computes the final stationarity residual.
+    Per iteration ``step(x, u, assign, F_x, s)`` returns
+    ``(x_next, F(x_next), z, F_probe, outcome)``: the accepted iterate, the
+    probe z that feeds the next extrapolation, the objective the step judged
+    the probe by (the trace's ``F_surrogate_z`` column) and the outcome label.
+    """
+    if not isinstance(K, numbers.Integral) or K < 0:
+        raise ValueError(f"K must be a nonnegative integer, got {K!r}")
+    if s is None:
+        s = default_step_size(problem)
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"step size must be finite and positive, got {s!r}")
+    x = np.array(x0, dtype=float)
+    if x.shape != (problem.d,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({problem.d},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+
+    x_prev = x.copy()
+    z = x.copy()
+    t_prev, t = 0.0, 1.0
+    assign = problem.assignments(x)
+    F_x = problem.objective(x)
+    _check_finite(F_x, solver, 0)
+    tb = _TraceBuilder(solver, s, w0, x, assign, F_x, record_timing)
+    last_transition = 0
+
+    for k in range(1, K + 1):
+        tic = time.perf_counter()
+        u = extrapolate(x, x_prev, z, t_prev, t)
+        x_next, F_next, z, F_probe, outcome = step(x, u, assign, F_x, s)
+        _check_finite(F_probe, solver, k)
+        _check_finite(F_next, solver, k)
+        new_assign = problem.assignments(x_next)
+        transition = not np.array_equal(new_assign, assign)
+        if transition:
+            last_transition = k
+
+        x_prev, x = x, x_next
+        t_prev, t = t, tk_next(t)
+        assign, F_x = new_assign, F_next
+
+        wall = (time.perf_counter() - tic) * 1e3
+        tb.add(k, F_x, F_probe, transition, outcome, wall, x, assign)
+
+        if stop_tol is not None and k - last_transition >= 10:
+            if stationarity_residual(problem, x, s) < stop_tol:
+                break
+
+    return tb.build(final_residual=stationarity_residual(problem, x, s))
+
+
 def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
          K: int = 100, stop_tol: Optional[float] = None,
          record_timing: bool = True) -> Trace:
@@ -423,122 +483,47 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
     stationarity residual drops below it with no transition in the last 10
     iterations.
     """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
     if not 0.0 < w0 <= 1.0:
         raise ValueError("w0 must lie in (0, 1]")
-    if s is None:
-        s = default_step_size(problem)
-    if s <= 0:
-        raise ValueError("step size must be positive")
 
-    x = np.array(x0, dtype=float)
-    if x.shape != (problem.d,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({problem.d},)")
-    x_prev = x.copy()
-    z = x.copy()
-    t_prev, t = 0.0, 1.0
-    assign = problem.assignments(x)
-    F_x = problem.objective(x)
-    _check_finite(F_x, "ppgd", 0)
-    tb = _TraceBuilder("ppgd", s, w0, x, assign, F_x, record_timing)
-    last_transition = 0
-
-    for k in range(1, K + 1):
-        tic = time.perf_counter()
-        u = extrapolate(x, x_prev, z, t_prev, t)
+    def step(x, u, assign, F_x, s):
         w = problem.project(x, u, assign)
-        grad_w = problem.smooth_gradient(w)
-        z_new = problem.prox_step(assign, s, w - s * grad_w)
-        t_next = tk_next(t)
+        z = problem.prox_step(assign, s, w - s * problem.smooth_gradient(w))
+        g_z = problem.smooth_value(z)
+        F_sz = g_z + problem.surrogate_penalty(assign, z)
+        if not F_sz <= F_x:
+            return x, F_x, z, F_sz, "guard-reject"
+        assign_z = problem.assignments(z)
+        if np.array_equal(assign_z, assign):
+            return z, g_z + problem.penalty_value(z), z, F_sz, "same-piece"
+        z_snap = z.copy()
+        flag = False
+        for fn, ix in problem._groups:
+            zs, fl = _nce_group(fn, x[ix], z[ix], w[ix], w0, assign[ix], assign_z[ix])
+            flag = flag or fl
+            z_snap[ix] = zs
+        if not flag:
+            return x, F_x, z, F_sz, "nce-reject"
+        if np.array_equal(z_snap, z):
+            return z_snap, g_z + problem.penalty_value(z), z, F_sz, "nce-accept"
+        return z_snap, problem.objective(z_snap), z, F_sz, "nce-accept"
 
-        g_z = problem.smooth_value(z_new)
-        F_sz = g_z + problem.surrogate_penalty(assign, z_new)
-        _check_finite(F_sz, "ppgd", k)
-
-        if F_sz <= F_x:
-            assign_z = problem.assignments(z_new)
-            if np.array_equal(assign_z, assign):
-                x_next = z_new
-                outcome = "same-piece"
-                F_next = g_z + problem.penalty_value(z_new)
-            else:
-                z_snap = z_new.copy()
-                flag = False
-                for fn, ix in problem._groups:
-                    zs, fl = _nce_group(fn, x[ix], z_new[ix], w[ix], w0,
-                                        assign[ix], assign_z[ix])
-                    if fl:
-                        flag = True
-                    z_snap[ix] = zs
-                if flag:
-                    x_next = z_snap
-                    outcome = "nce-accept"
-                    if np.array_equal(z_snap, z_new):
-                        F_next = g_z + problem.penalty_value(z_new)
-                    else:
-                        F_next = problem.objective(z_snap)
-                else:
-                    x_next = x
-                    outcome = "nce-reject"
-                    F_next = F_x
-        else:
-            x_next = x
-            outcome = "guard-reject"
-            F_next = F_x
-
-        _check_finite(F_next, "ppgd", k)
-        new_assign = problem.assignments(x_next)
-        transition = not np.array_equal(new_assign, assign)
-        if transition:
-            last_transition = k
-
-        x_prev, x = x, x_next
-        z = z_new
-        t_prev, t = t, t_next
-        assign = new_assign
-        F_x = F_next
-
-        wall = (time.perf_counter() - tic) * 1e3
-        tb.add(k, F_x, F_sz, transition, outcome, wall, x, assign)
-
-        if stop_tol is not None and k - last_transition >= 10:
-            if stationarity_residual(problem, x, s) < stop_tol:
-                break
-
-    residual = stationarity_residual(problem, x, s)
-    return tb.build(final_residual=residual)
+    return _solve("ppgd", step, problem, x0, s, K, w0, stop_tol, record_timing)
 
 
 def pgd(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
         record_timing: bool = True) -> Trace:
-    """Proximal gradient descent with the exact prox of the full penalty."""
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    if s is None:
-        s = default_step_size(problem)
-    x = np.array(x0, dtype=float)
-    if x.shape != (problem.d,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({problem.d},)")
-    assign = problem.assignments(x)
-    F_x = problem.objective(x)
-    _check_finite(F_x, "pgd", 0)
-    tb = _TraceBuilder("pgd", s, None, x, assign, F_x, record_timing)
+    """Proximal gradient descent with the exact prox of the full penalty.
 
-    for k in range(1, K + 1):
-        tic = time.perf_counter()
-        v = x - s * problem.smooth_gradient(x)
-        x_new = _prox_full(problem, s, v)
+    The step starts from x and never uses the extrapolated point.
+    """
+
+    def step(x, u, assign, F_x, s):
+        x_new = _prox_full(problem, s, x - s * problem.smooth_gradient(x))
         F_new = problem.objective(x_new)
-        _check_finite(F_new, "pgd", k)
-        new_assign = problem.assignments(x_new)
-        transition = not np.array_equal(new_assign, assign)
-        x, assign, F_x = x_new, new_assign, F_new
-        wall = (time.perf_counter() - tic) * 1e3
-        tb.add(k, F_x, F_new, transition, "step", wall, x, assign)
+        return x_new, F_new, x_new, F_new, "step"
 
-    residual = stationarity_residual(problem, x, s)
-    return tb.build(final_residual=residual)
+    return _solve("pgd", step, problem, x0, s, K, None, None, record_timing)
 
 
 def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
@@ -548,43 +533,15 @@ def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
     z is the accelerated probe prox_{sh}(u - s grad g(u)); x advances to z only
     when F(z) <= F(x), which keeps the objective column nonincreasing.
     """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    if s is None:
-        s = default_step_size(problem)
-    x = np.array(x0, dtype=float)
-    if x.shape != (problem.d,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({problem.d},)")
-    x_prev = x.copy()
-    z = x.copy()
-    t_prev, t = 0.0, 1.0
-    assign = problem.assignments(x)
-    F_x = problem.objective(x)
-    _check_finite(F_x, "apg", 0)
-    tb = _TraceBuilder("apg", s, None, x, assign, F_x, record_timing)
 
-    for k in range(1, K + 1):
-        tic = time.perf_counter()
-        u = extrapolate(x, x_prev, z, t_prev, t)
-        z_new = _prox_full(problem, s, u - s * problem.smooth_gradient(u))
-        t_next = tk_next(t)
-        F_z = problem.objective(z_new)
-        _check_finite(F_z, "apg", k)
+    def step(x, u, assign, F_x, s):
+        z = _prox_full(problem, s, u - s * problem.smooth_gradient(u))
+        F_z = problem.objective(z)
         if F_z <= F_x:
-            x_next, F_next, outcome = z_new, F_z, "accept"
-        else:
-            x_next, F_next, outcome = x, F_x, "revert"
-        new_assign = problem.assignments(x_next)
-        transition = not np.array_equal(new_assign, assign)
-        x_prev, x = x, x_next
-        z = z_new
-        t_prev, t = t, t_next
-        assign, F_x = new_assign, F_next
-        wall = (time.perf_counter() - tic) * 1e3
-        tb.add(k, F_x, F_z, transition, outcome, wall, x, assign)
+            return z, F_z, z, F_z, "accept"
+        return x, F_x, z, F_z, "revert"
 
-    residual = stationarity_residual(problem, x, s)
-    return tb.build(final_residual=residual)
+    return _solve("apg", step, problem, x0, s, K, None, None, record_timing)
 
 
 def _prox_full(problem: Problem, s: float, v: np.ndarray) -> np.ndarray:

@@ -93,6 +93,15 @@ class TestSolve:
         assert "stationarity residual:" in out
         assert (tmp_path / "trace_ppgd.csv").exists()
 
+    @pytest.mark.parametrize("solver", ["pgd", "apg", "ppgd"])
+    def test_zero_step_exits_2(self, tmp_path, solver, capsys):
+        code, out, err = run_cli(
+            ["solve", "--n", "20", "--d", "3", "--solver", solver, "--s", "0",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: step size")
+        assert len(err.strip().splitlines()) == 1
+
     def test_csv_requires_path(self, capsys):
         code, out, err = run_cli(["solve", "--data", "csv"], capsys)
         assert code == 1
@@ -139,6 +148,20 @@ class TestBenchmark:
         code, out, err = run_cli(["benchmark", "--config", str(tmp_path / "nope.json")], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("field, value", [("K", 4.5), ("reference_multiple", 2.5)])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, field, value):
+        cfg = self.write_config(tmp_path, tmp_path / "results")
+        doc = json.loads(cfg.read_text())
+        if field == "K":
+            doc["solvers"][0]["K"] = value
+        else:
+            doc[field] = value
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["benchmark", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "integer >= 1" in err
+        assert not (tmp_path / "results").exists()
 
     def test_config_wins_on_conflict_with_warning(self, tmp_path, capsys):
         out_dir = tmp_path / "results"

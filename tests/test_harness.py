@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -5,12 +6,15 @@ import struct
 import numpy as np
 import pytest
 
+from piecewise_prox import harness
 from piecewise_prox import (
     Dataset,
     ExperimentConfig,
     IdxFormatError,
     Problem,
     apg_monotone,
+    build_problem,
+    default_step_size,
     fit_rate,
     l1_penalty,
     least_squares,
@@ -250,29 +254,56 @@ class TestRunExperiment:
                 "output_dir": str(tmp_path), "typo_key": 1,
             })
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PIECEWISE_PROX_THREADS", "1")
-        cfg = desk_config(tmp_path)
+    @pytest.mark.parametrize("first", ["ppgd", "pgd"])
+    def test_traces_equal_direct_calls(self, tmp_path, monkeypatch, first):
+        cfg = desk_config(tmp_path, record_timing=False)
+        specs = sorted(cfg.solvers, key=lambda spec: spec.name != first)
+        cfg = dataclasses.replace(cfg, solvers=tuple(specs))
+        calls = []
+        for name, solver in harness._SOLVERS.items():
+            def recorded(*args, _name=name, _solver=solver, **kwargs):
+                calls.append((_name, kwargs["K"]))
+                return _solver(*args, **kwargs)
+            monkeypatch.setitem(harness._SOLVERS, name, recorded)
         report = run_experiment(cfg)
-        assert len(report.solvers) == 3
+        # one call per spec; the first one's is also the reference run
+        assert calls == [(first, 80 * cfg.reference_multiple)] + [
+            (spec.name, 80) for spec in specs[1:]]
+        problem, x0 = build_problem(cfg)
+        s = default_step_size(problem)
+        direct = {
+            "ppgd": ppgd(problem, x0, s=s, K=80, record_timing=False),
+            "apg": apg_monotone(problem, x0, s=s, K=80, record_timing=False),
+            "pgd": pgd(problem, x0, s=s, K=80, record_timing=False),
+        }
+        assert list(report.traces) == [spec.name for spec in specs]
+        for name, want in direct.items():
+            got = report.traces[name]
+            assert np.array_equal(got.objective, want.objective)
+            assert np.array_equal(got.iterates, want.iterates)
+            assert np.array_equal(got.transitions, want.transitions)
+            assert got.nce_outcomes == want.nce_outcomes
+            assert got.final_residual == want.final_residual
 
-    def test_parallel_pool_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PIECEWISE_PROX_THREADS", "3")
-        cfg_par = desk_config(tmp_path / "par", record_timing=False)
-        run_experiment(cfg_par)
-        monkeypatch.setenv("PIECEWISE_PROX_THREADS", "1")
-        cfg_ser = desk_config(tmp_path / "ser", record_timing=False)
-        run_experiment(cfg_ser)
-        for name in ("trace_ppgd.csv", "trace_apg.csv", "trace_pgd.csv"):
-            a = (tmp_path / "par" / "out" / name).read_bytes()
-            b = (tmp_path / "ser" / "out" / name).read_bytes()
-            assert a == b
+    def test_duplicate_solver_names_rejected(self, tmp_path):
+        doc = desk_config(tmp_path).to_dict()
+        doc["solvers"] = [{"name": "ppgd", "w0": 0.2}, {"name": "ppgd", "w0": 0.9}]
+        with pytest.raises(ValueError, match="unique"):
+            ExperimentConfig.from_dict(doc)
 
-    def test_invalid_thread_cap_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PIECEWISE_PROX_THREADS", "many")
-        cfg = desk_config(tmp_path)
-        with pytest.raises(ValueError, match="PIECEWISE_PROX_THREADS"):
-            run_experiment(cfg)
+    @pytest.mark.parametrize("K", [4.5, 0, True])
+    def test_non_integer_solver_K_rejected(self, tmp_path, K):
+        doc = desk_config(tmp_path).to_dict()
+        doc["solvers"] = [{"name": "ppgd", "K": K}]
+        with pytest.raises(ValueError, match="K must be an integer >= 1"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("multiple", [2.5, 0])
+    def test_bad_reference_multiple_rejected(self, tmp_path, multiple):
+        doc = desk_config(tmp_path).to_dict()
+        doc["reference_multiple"] = multiple
+        with pytest.raises(ValueError, match="reference_multiple must be an integer >= 1"):
+            ExperimentConfig.from_dict(doc)
 
 
 class TestFitRate:

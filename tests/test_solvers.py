@@ -247,10 +247,14 @@ class TestPpgd:
         prob = one_d_problem()
         with pytest.raises(ValueError):
             ppgd(prob, np.zeros(1), w0=1.5)
-        with pytest.raises(ValueError):
-            ppgd(prob, np.zeros(1), s=-0.1)
-        with pytest.raises(ValueError):
-            ppgd(prob, np.zeros(2))
+        bad_kwargs = ({"s": -0.1}, {"s": 0.0}, {"s": math.nan}, {"s": math.inf},
+                      {"K": -1}, {"K": 2.5}, {"x0": np.zeros(2)},
+                      {"x0": np.array([math.nan])}, {"x0": np.array([math.inf])})
+        for solver in (ppgd, apg_monotone, pgd):
+            for kwargs in bad_kwargs:
+                kwargs = {"x0": np.zeros(1), **kwargs}
+                with pytest.raises(ValueError):
+                    solver(prob, **kwargs)
 
     def test_trace_serialization(self, tmp_path):
         import json
