@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--s", type=float, help="step size (default 1/(2 L_g))")
     ps.add_argument("--w0", type=float, default=0.5, help="NCE acceptance fraction in (0,1]")
     ps.add_argument("--iters", type=int, default=200, help="iteration count K")
-    ps.add_argument("--stop-tol", type=float, help="early-stop residual tolerance")
+    ps.add_argument("--stop-tol", type=float, help="early-stop residual tolerance (ppgd only)")
     ps.add_argument("--output-dir", default=".", help="where the trace CSV is written")
 
     pb = sub.add_parser("benchmark", help="run a config-driven experiment",
@@ -93,9 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    from .harness import ExperimentConfig, build_problem
-    from .solvers import apg_monotone, default_step_size, pgd, ppgd
+    from .harness import ExperimentConfig, _run_one, build_problem
 
+    if args.stop_tol is not None and args.solver != "ppgd":
+        raise _UsageError("--stop-tol applies to --solver ppgd only")
     penalty_params = {}
     if args.penalty in ("capped-l1", "leaky-capped-l1"):
         penalty_params = {"lam": args.lam, "b": args.b}
@@ -130,17 +131,11 @@ def _cmd_solve(args) -> int:
         "seed": args.seed,
     })
     problem, x0 = build_problem(cfg)
-    s = args.s if args.s is not None else default_step_size(problem)
-    if args.solver == "ppgd":
-        trace = ppgd(problem, x0, s=s, w0=args.w0, K=args.iters, stop_tol=args.stop_tol)
-    elif args.solver == "pgd":
-        trace = pgd(problem, x0, s=s, K=args.iters)
-    else:
-        trace = apg_monotone(problem, x0, s=s, K=args.iters)
+    trace = _run_one(problem, x0, cfg.solvers[0], stop_tol=args.stop_tol)
     out = f"{args.output_dir}/trace_{args.solver}.csv"
     trace.to_csv(out)
     print(f"solver: {args.solver}")
-    print(f"step size: {s:.6g}")
+    print(f"step size: {trace.s:.6g}")
     print(f"final objective: {trace.final_objective:.12g}")
     print(f"stationarity residual: {trace.final_residual:.6g}")
     print(f"transitions: {int(trace.n_transitions[-1])}")

@@ -17,7 +17,8 @@ Config JSON keys: ``loss``, ``penalty {kind, params}``,
 ``data {kind, ...}``, ``solvers [{name, s, w0, K}]``, ``output_dir``, ``x0``,
 ``seed``, ``tail_fraction``, ``record_timing``, ``reference_multiple``.
 Solver names must be unique; each ``K`` and ``reference_multiple`` is an
-integer >= 1.
+integer >= 1, ``s`` is null (the default step) or a number, and ``w0`` and
+``tail_fraction`` are numbers in (0, 1].
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import numpy as np
 
 from .piecewise import builtin_penalty
 from .smooth import Dataset, least_squares, logistic_loss
-from .solvers import (Problem, Trace, apg_monotone, default_step_size, pgd, ppgd,
-                      stationarity_residual)
+from .solvers import Problem, Trace, apg_monotone, pgd, ppgd, stationarity_residual
 
 __all__ = [
     "IdxFormatError",
@@ -197,6 +197,14 @@ def _is_count(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_fraction(v) -> bool:
+    return _is_real(v) and 0.0 < v <= 1.0
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     name: str
@@ -209,6 +217,11 @@ class SolverSpec:
             raise ValueError(f"unknown solver {self.name!r}; expected one of {sorted(_SOLVERS)}")
         if not _is_count(self.K):
             raise ValueError(f"solver {self.name!r}: K must be an integer >= 1, got {self.K!r}")
+        if self.s is not None and not _is_real(self.s):
+            raise ValueError(f"solver {self.name!r}: s must be null or a number, got {self.s!r}")
+        if not _is_fraction(self.w0):
+            raise ValueError(f"solver {self.name!r}: w0 must be a number in (0, 1], "
+                             f"got {self.w0!r}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +245,9 @@ class ExperimentConfig:
         if not _is_count(self.reference_multiple):
             raise ValueError("reference_multiple must be an integer >= 1, "
                              f"got {self.reference_multiple!r}")
+        if not _is_fraction(self.tail_fraction):
+            raise ValueError("tail_fraction must be a number in (0, 1], "
+                             f"got {self.tail_fraction!r}")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -370,12 +386,13 @@ def fit_rate(trace, tail_fraction: float, f_ref: float) -> float:
 
 
 def _run_one(problem: Problem, x0: np.ndarray, spec: SolverSpec,
-             record_timing: bool) -> Trace:
+             record_timing: bool = True, stop_tol: Optional[float] = None) -> Trace:
+    """One call of the spec's solver; ``stop_tol`` applies to ``ppgd`` only."""
     fn = _SOLVERS[spec.name]
-    s = spec.s if spec.s is not None else default_step_size(problem)
     if spec.name == "ppgd":
-        return fn(problem, x0, s=s, w0=spec.w0, K=spec.K, record_timing=record_timing)
-    return fn(problem, x0, s=s, K=spec.K, record_timing=record_timing)
+        return fn(problem, x0, s=spec.s, w0=spec.w0, K=spec.K, stop_tol=stop_tol,
+                  record_timing=record_timing)
+    return fn(problem, x0, s=spec.s, K=spec.K, record_timing=record_timing)
 
 
 def _prefix(problem: Problem, trace: Trace, K: int) -> Trace:

@@ -2,7 +2,8 @@
 
 A penalty is modeled as an ordered list of convex pieces tiling the real line.
 Every interior breakpoint carries a one-sided continuity tag that decides which
-piece owns the point, so membership is single valued.  From the piece metadata
+piece owns the point.  Membership is single valued: ``build_piecewise`` rejects
+tags under which two pieces claim one breakpoint.  From the piece metadata
 the model derives the structural constants used by the solvers and step-size
 certificates:
 
@@ -441,11 +442,14 @@ class PiecewiseFn:
     F0: float
     R0: float
     s0: float
-    # per-piece closed bounds under the membership rule
+    # per-piece closure bounds
     _lo: np.ndarray = field(repr=False, default=None)
     _hi: np.ndarray = field(repr=False, default=None)
-    _lo_closed: np.ndarray = field(repr=False, default=None)
-    _hi_closed: np.ndarray = field(repr=False, default=None)
+    # membership tables: the distinct breakpoint values padded with +inf, the
+    # piece owning each value and the piece covering the open gap below it
+    _cuts: np.ndarray = field(repr=False, default=None)
+    _at: np.ndarray = field(repr=False, default=None)
+    _gap: np.ndarray = field(repr=False, default=None)
     _builtin: Optional[tuple] = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -460,35 +464,12 @@ class PiecewiseFn:
     def piece_index(self, x):
         """1-based index of the piece owning x (scalar or ndarray)."""
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        out = np.zeros(arr.shape, dtype=np.int64)
-        for i in range(self.n_pieces):
-            lo, hi = self._lo[i], self._hi[i]
-            mask = (arr > lo) & (arr < hi)
-            if self._lo_closed[i]:
-                mask |= arr == lo
-            if self._hi_closed[i]:
-                mask |= arr == hi
-            out[mask] = i + 1
-        if np.any(out == 0):
-            bad = arr[out == 0][0]
-            raise AssertionError(f"no piece claims x={bad!r}")  # unreachable for valid fns
-        return int(out[0]) if scalar else out
-
-    def claim_count(self, x) -> np.ndarray:
-        """How many pieces claim each point; identically 1 for a valid model."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        count = np.zeros(arr.shape, dtype=np.int64)
-        for i in range(self.n_pieces):
-            lo, hi = self._lo[i], self._hi[i]
-            mask = (arr > lo) & (arr < hi)
-            if self._lo_closed[i]:
-                mask |= arr == lo
-            if self._hi_closed[i]:
-                mask |= arr == hi
-            count += mask
-        return count
+        if not np.isfinite(arr).all():
+            bad = float(arr[~np.isfinite(arr)].flat[0])
+            raise ValueError(f"piece membership needs finite x, got {bad!r}")
+        j = np.searchsorted(self._cuts, arr)
+        out = np.where(self._cuts[j] == arr, self._at[j], self._gap[j])
+        return int(out) if arr.ndim == 0 else out
 
     def evaluate(self, x):
         """Penalty value at x, dispatching through the membership rule."""
@@ -522,7 +503,8 @@ class PiecewiseFn:
         raise KeyError(f"{value} is not a breakpoint")
 
     def endpoint_values(self) -> np.ndarray:
-        return np.array(sorted({e.value for e in self.endpoints}), dtype=float)
+        """The distinct breakpoint values, ascending."""
+        return self._cuts[:-1].copy()
 
     # -- surrogates -----------------------------------------------------------
 
@@ -545,13 +527,10 @@ def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
     if math.isfinite(p.right):
         e = fn.endpoints[m - 1]
         q = p.right
-        owner_left = e.continuity in (CONTINUOUS, LEFT_ONLY) or (
-            e.continuity == ISOLATED and p.is_point
-        )
         if e.continuity == CONTINUOUS:
             kw.update(right_case=CASE_CONTINUOUS_LINEAR, right_anchor=q,
                       right_value=p.value_right, right_slope=p.right_slope)
-        elif not owner_left:
+        elif fn.piece_index(q) != m:
             # piece m does not own q: extend its own limit linearly
             kw.update(right_case=CASE_LIMIT_LINEAR, right_anchor=q,
                       right_value=p.value_right, right_slope=p.right_slope)
@@ -564,11 +543,10 @@ def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
     if math.isfinite(p.left):
         e = fn.endpoints[m - 2]
         q = p.left
-        owner_right = e.continuity == RIGHT_ONLY or (e.continuity == ISOLATED and p.is_point)
         if e.continuity == CONTINUOUS:
             kw.update(left_case=CASE_CONTINUOUS_LINEAR, left_anchor=q,
                       left_value=p.value_left, left_slope=p.left_slope)
-        elif not owner_right:
+        elif fn.piece_index(q) != m:
             kw.update(left_case=CASE_LIMIT_LINEAR, left_anchor=q,
                       left_value=p.value_left, left_slope=p.left_slope)
         else:
@@ -676,7 +654,7 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str],
     endpoints = tuple(endpoints)
 
     _validate_tags(pieces, endpoints)
-    lo, hi, lo_closed, hi_closed = _ownership(pieces, endpoints)
+    cuts, at, gap = _membership(pieces, endpoints)
     C, J, F0, R0, s0 = _structural_constants(pieces, endpoints)
 
     if M > 1 and not math.isfinite(F0):
@@ -684,12 +662,13 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str],
             "unbounded subgradient: a piece has infinite slope growth; "
             "no finite F0 exists for a multi-piece penalty"
         )
+    lo = np.array([p.left for p in pieces])
+    hi = np.array([p.right for p in pieces])
     return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0,
-                       lo, hi, lo_closed, hi_closed, builtin)
+                       lo, hi, cuts, at, gap, builtin)
 
 
 def _validate_tags(pieces, endpoints) -> None:
-    M = len(pieces)
     for j, e in enumerate(endpoints):
         left_p, right_p = pieces[j], pieces[j + 1]
         lim_left = left_p.value_right
@@ -734,29 +713,32 @@ def _validate_tags(pieces, endpoints) -> None:
             )
 
 
-def _ownership(pieces, endpoints):
-    M = len(pieces)
-    lo = np.array([p.left for p in pieces])
-    hi = np.array([p.right for p in pieces])
-    lo_closed = np.zeros(M, dtype=bool)
-    hi_closed = np.zeros(M, dtype=bool)
+def _membership(pieces, endpoints):
+    """``piece_index``'s tables (see PiecewiseFn); the continuity tags decide
+    which piece owns each breakpoint, and only one piece may own it."""
+    owners: dict[float, set] = {}
     for j, e in enumerate(endpoints):
         left_p, right_p = pieces[j], pieces[j + 1]
         if e.continuity in (CONTINUOUS, LEFT_ONLY):
-            owner_is_left = True
+            owner = left_p
         elif e.continuity == RIGHT_ONLY:
-            owner_is_left = False
+            owner = right_p
         else:  # isolated: the point piece owns the value
-            owner_is_left = left_p.is_point
-        if owner_is_left:
-            hi_closed[j] = True
-        else:
-            lo_closed[j + 1] = True
-    return lo, hi, lo_closed, hi_closed
+            owner = left_p if left_p.is_point else right_p
+        owners.setdefault(e.value, set()).add(owner.index)
+    for q, claims in owners.items():
+        if len(claims) > 1:
+            raise PiecewiseBuildError(
+                f"endpoint {q}: pieces {sorted(claims)} both claim the breakpoint"
+            )
+    cuts = sorted(owners)
+    at = [min(owners[q]) for q in cuts] + [0]
+    gap = [p.index for p in pieces if not p.is_point]
+    return (np.array(cuts + [math.inf]), np.array(at, dtype=np.int64),
+            np.array(gap, dtype=np.int64))
 
 
 def _structural_constants(pieces, endpoints):
-    M = len(pieces)
     gaps, jumps = [], []
     for j, e in enumerate(endpoints):
         left_p, right_p = pieces[j], pieces[j + 1]

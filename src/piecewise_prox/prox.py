@@ -2,19 +2,21 @@
 
 ``prox_surrogate`` dispatches to the surrogate's registered closed-form kernel
 and otherwise falls back to golden-section minimization over the surrogate's
-convex regions.  ``prox_oracle`` is an independent ground-truth used by tests:
-a dense grid argmin refined by one golden-section pass per local basin.  The
-two routes are kept separate so each can check the other.
+convex regions.  ``prox_vector`` does so for one penalty's coordinates, one
+kernel call per piece present.  ``prox_true`` is the exact prox of the full
+penalty.  All of them break ties with the library rule (``_pick_columns``).
+``prox_oracle`` is an independent ground-truth used by tests: a dense grid
+argmin refined by one golden-section pass per local basin.  The two routes are
+kept separate so each can check the other.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .kernels import tie_break
 from .piecewise import PiecewiseFn, SurrogateFn
 
 __all__ = [
@@ -93,15 +95,26 @@ def _golden_min(psi: Callable, lo: float, hi: float, tol: float = 1e-12, iters: 
     return best_v, best_f
 
 
+def _pick_columns(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Per column, the candidate row of least psi under the library tie rule.
+
+    Among the rows that reach the column's least psi it keeps the smaller |v|,
+    then the smaller v, then the earlier row, which is what folding
+    ``kernels.tie_break`` over those rows in order returns (0.0 and -0.0 tie,
+    so the earlier wins).  psi must not contain NaN.
+    """
+    ok = psi == psi.min(axis=0)
+    mag = np.where(ok, np.abs(cands), np.inf)
+    ok &= mag == mag.min(axis=0)
+    val = np.where(ok, cands, np.inf)
+    ok &= val == val.min(axis=0)
+    return cands[ok.argmax(axis=0), np.arange(cands.shape[1])]
+
+
 def _pick(candidates):
-    """Argmin with the deterministic tie rule (smaller |v|, then smaller v)."""
-    best_v, best_f = candidates[0]
-    for v, fv in candidates[1:]:
-        if fv < best_f:
-            best_v, best_f = v, fv
-        elif fv == best_f:
-            best_v = tie_break(best_v, v)
-    return best_v
+    """Argmin of (v, psi(v)) pairs with the library tie rule."""
+    v, f = np.array(candidates, dtype=float).T
+    return float(_pick_columns(v[:, None], f[:, None])[0])
 
 
 def prox_surrogate(f_m: SurrogateFn, s: float, x: float) -> float:
@@ -179,33 +192,38 @@ def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
     return _pick(candidates)
 
 
-def prox_vector(surrogates: Sequence[SurrogateFn], s: float, u: np.ndarray) -> np.ndarray:
-    """Coordinatewise prox under a per-coordinate surrogate assignment."""
+def prox_vector(fn: PiecewiseFn, assignment, s: float, u: np.ndarray) -> np.ndarray:
+    """Coordinatewise prox of the surrogates of one penalty.
+
+    Coordinate i of u takes the prox of ``fn.surrogate(assignment[i])``, with
+    1-based piece indices.  Each piece present gets one closed-form kernel
+    call on its coordinates; a surrogate without a kernel goes through the
+    golden-section fallback coordinate by coordinate.
+    """
     u = np.asarray(u, dtype=float)
-    if len(surrogates) != u.shape[0]:
-        raise ValueError(f"expected {u.shape[0]} surrogates, got {len(surrogates)}")
+    assignment = np.asarray(assignment)
+    if assignment.shape != u.shape:
+        raise ValueError(f"expected {u.size} surrogates, one per coordinate, "
+                         f"got {assignment.size}")
     out = np.empty_like(u)
-    groups: dict[int, list[int]] = {}
-    table: dict[int, SurrogateFn] = {}
-    for i, sur in enumerate(surrogates):
-        groups.setdefault(id(sur), []).append(i)
-        table[id(sur)] = sur
-    for key, idx in groups.items():
-        sur = table[key]
-        ix = np.asarray(idx, dtype=np.intp)
+    for m in range(1, fn.n_pieces + 1):
+        sel = np.flatnonzero(assignment == m)
+        if not sel.size:
+            continue
+        sur = fn.surrogate(m)
         if sur.kernel is not None:
-            out[ix] = sur.kernel.prox(u[ix], s)
-        else:
-            for i in ix:
-                try:
-                    out[i] = _numeric_prox(sur, s, float(u[i]))
-                except ProxError as exc:
-                    raise ProxError(f"coordinate {int(i)}: {exc}") from exc
+            out[sel] = sur.kernel.prox(u[sel], s)
+            continue
+        for i in sel:
+            try:
+                out[i] = _numeric_prox(sur, s, float(u[i]))
+            except ProxError as exc:
+                raise ProxError(f"coordinate {int(i)}: {exc}") from exc
     return out
 
 
 def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
-    """Exact prox of the full penalty, one coordinate at a time.
+    """Exact prox of the full penalty, coordinatewise.
 
     Enumerates, per piece, the surrogate prox clamped to the piece closure,
     plus every finite breakpoint, and keeps the candidate minimizing the true
@@ -213,7 +231,6 @@ def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
     surrogate is continuous and convex, so the clamp is exact there.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = u.shape[0]
     cand_vals = []
     for m in range(1, fn.n_pieces + 1):
         sur = fn.surrogate(m)
@@ -225,21 +242,13 @@ def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
                 _golden_on_interval(sur, s, float(ui), lo, hi) for ui in u
             ])
         cand_vals.append(c)
-    for q in np.unique(fn.endpoint_values()):
-        cand_vals.append(np.full(d, q))
+    for q in fn.endpoint_values():
+        cand_vals.append(np.full(u.shape, q))
     cands = np.stack(cand_vals, axis=0)
-    psi = (cands - u[None, :]) ** 2 / (2.0 * s)
-    for r in range(cands.shape[0]):
-        psi[r] += fn.evaluate(cands[r])
-    out = np.empty(d)
-    best = psi.min(axis=0)
-    for i in range(d):
-        tied = np.flatnonzero(psi[:, i] == best[i])
-        v = cands[tied[0], i]
-        for r in tied[1:]:
-            v = tie_break(v, cands[r, i])
-        out[i] = v
-    return out
+    psi = (cands - u[None, :]) ** 2 / (2.0 * s) + fn.evaluate(cands)
+    if np.isnan(psi).any():
+        raise ProxError("NaN objective among the prox candidates")
+    return _pick_columns(cands, psi)
 
 
 def _golden_on_interval(sur: SurrogateFn, s: float, x: float, lo: float, hi: float) -> float:

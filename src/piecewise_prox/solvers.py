@@ -78,12 +78,10 @@ class Problem:
             fns = tuple(self.penalty)
             if len(fns) != d:
                 raise ValueError(f"need {d} per-coordinate penalties, got {len(fns)}")
-            by_id: dict[int, list[int]] = {}
-            table: dict[int, PiecewiseFn] = {}
+            by_fn: dict[PiecewiseFn, list[int]] = {}  # PiecewiseFn hashes by identity
             for i, fn in enumerate(fns):
-                by_id.setdefault(id(fn), []).append(i)
-                table[id(fn)] = fn
-            groups = tuple((table[k], np.asarray(ix, dtype=np.intp)) for k, ix in by_id.items())
+                by_fn.setdefault(fn, []).append(i)
+            groups = tuple((fn, np.asarray(ix, dtype=np.intp)) for fn, ix in by_fn.items())
         object.__setattr__(self, "_groups", groups)
 
     @property
@@ -133,15 +131,13 @@ class Problem:
                 total += float(np.sum(fn.surrogate(int(m))(v[sel])))
         return total
 
-    def surrogates_for(self, assignment) -> list:
-        out = [None] * self.d
-        for fn, ix in self._groups:
-            for i in ix:
-                out[i] = fn.surrogate(int(assignment[i]))
-        return out
-
     def prox_step(self, assignment, s: float, v: np.ndarray) -> np.ndarray:
-        return prox_vector(self.surrogates_for(assignment), s, v)
+        """Prox of the surrogates of the assigned pieces, one penalty group at a time."""
+        v = np.asarray(v, dtype=float)
+        out = np.empty_like(v)
+        for fn, ix in self._groups:
+            out[ix] = prox_vector(fn, assignment[ix], s, v[ix])
+        return out
 
     def project(self, x, u, assignment) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from piecewise_prox import (Problem, capped_l1, default_step_size, least_squares,
+                            synth)
 from piecewise_prox.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -102,6 +104,24 @@ class TestSolve:
         assert err.startswith("error: step size")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("solver", ["pgd", "apg"])
+    def test_stop_tol_needs_ppgd(self, tmp_path, solver, capsys):
+        code, out, err = run_cli(
+            ["solve", "--n", "20", "--d", "3", "--solver", solver, "--stop-tol", "1e-3",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "--stop-tol" in err
+        assert not (tmp_path / f"trace_{solver}.csv").exists()
+
+    def test_default_step_printed(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["solve", "--n", "20", "--d", "3", "--solver", "ppgd", "--stop-tol", "1e-3",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        data, _ = synth("regression", n=20, d=3, sparsity=0.2, noise=0.0, seed=0)
+        step = default_step_size(Problem(least_squares(data), capped_l1(0.2, 1.0)))
+        assert f"step size: {step:.6g}\n" in out
+
     def test_csv_requires_path(self, capsys):
         code, out, err = run_cli(["solve", "--data", "csv"], capsys)
         assert code == 1
@@ -161,6 +181,22 @@ class TestBenchmark:
         code, out, err = run_cli(["benchmark", "--config", str(cfg)], capsys)
         assert code == 2
         assert err.startswith("error:") and "integer >= 1" in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("field, value", [("s", "abc"), ("w0", "x"),
+                                              ("tail_fraction", "x")])
+    def test_non_numeric_setting_exits_2(self, tmp_path, capsys, field, value):
+        cfg = self.write_config(tmp_path, tmp_path / "results")
+        doc = json.loads(cfg.read_text())
+        if field == "tail_fraction":
+            doc[field] = value
+        else:
+            doc["solvers"][0][field] = value
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["benchmark", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "results").exists()
 
     def test_config_wins_on_conflict_with_warning(self, tmp_path, capsys):

@@ -305,6 +305,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="reference_multiple must be an integer >= 1"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("s", "abc", "s must be null or a number"),
+        ("s", True, "s must be null or a number"),
+        ("w0", "x", r"w0 must be a number in \(0, 1\]"),
+        ("w0", 0, r"w0 must be a number in \(0, 1\]"),
+        ("w0", 1.5, r"w0 must be a number in \(0, 1\]"),
+        ("w0", True, r"w0 must be a number in \(0, 1\]"),
+        ("tail_fraction", "x", r"tail_fraction must be a number in \(0, 1\]"),
+        ("tail_fraction", 0, r"tail_fraction must be a number in \(0, 1\]"),
+        ("tail_fraction", None, r"tail_fraction must be a number in \(0, 1\]"),
+    ])
+    def test_non_numeric_setting_rejected(self, tmp_path, field, value, message):
+        doc = desk_config(tmp_path).to_dict()
+        if field == "tail_fraction":
+            doc[field] = value
+        else:
+            doc["solvers"] = [{"name": "ppgd", field: value}]
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(doc)
+
+    def test_numeric_settings_accepted(self, tmp_path):
+        doc = desk_config(tmp_path).to_dict()
+        doc["solvers"] = [{"name": "ppgd", "s": 1, "w0": 1}, {"name": "pgd", "s": None}]
+        doc["tail_fraction"] = 1
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.solvers[0].s == 1 and cfg.solvers[0].w0 == 1 and cfg.tail_fraction == 1
+
 
 class TestFitRate:
     def quad_l1_problem(self):

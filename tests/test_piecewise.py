@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piecewise_prox import (
     Constant,
@@ -23,6 +25,7 @@ from piecewise_prox import (
 
 
 from piecewise_prox import Affine
+from piecewise_prox.piecewise import builtin_penalty
 
 
 def quad_on_segments():
@@ -179,6 +182,36 @@ class TestBuild:
             )
 
 
+def closure_claims(fn, x):
+    """Pieces claiming each x by the interval-closure definition.
+
+    A piece holds its open interior, and each breakpoint belongs to the piece
+    its continuity tag names: the left piece for ``continuous`` and
+    ``left-only``, the right piece for ``right-only``, the single-point piece
+    for ``isolated``.  Returns (number of claiming pieces, last claiming piece).
+    """
+    def owner(j):
+        e, left, right = fn.endpoints[j], fn.pieces[j], fn.pieces[j + 1]
+        if e.continuity in ("continuous", "left-only"):
+            return left.index
+        if e.continuity == "right-only":
+            return right.index
+        return left.index if left.is_point else right.index
+
+    x = np.asarray(x, dtype=float)
+    count = np.zeros(x.shape, dtype=np.int64)
+    index = np.zeros(x.shape, dtype=np.int64)
+    for p in fn.pieces:
+        claims = (x > p.left) & (x < p.right)
+        if p.index > 1 and owner(p.index - 2) == p.index:
+            claims |= x == p.left
+        if p.index < fn.n_pieces and owner(p.index - 1) == p.index:
+            claims |= x == p.right
+        count += claims
+        index[claims] = p.index
+    return count, index
+
+
 class TestMembership:
     def test_capped_l1_endpoint_ownership(self):
         fn = capped_l1(0.2, 1.0)
@@ -215,10 +248,51 @@ class TestMembership:
             ulp = np.spacing(abs(q) + 1.0)
             pts.append(np.array([q, q - ulp, q + ulp, q - 1e3 * ulp, q + 1e3 * ulp]))
         pts = np.concatenate(pts)
-        counts = fn.claim_count(pts)
+        counts, owners = closure_claims(fn, pts)
         assert np.all(counts == 1)
         idx = fn.piece_index(pts)
         assert np.all((idx >= 1) & (idx <= fn.n_pieces))
+        assert np.array_equal(idx, owners)
+
+    @pytest.mark.parametrize("tags", [["right-only", "right-only"],
+                                      ["isolated", "right-only"]])
+    def test_double_claimed_breakpoint_rejected(self, tags):
+        # both tag lists hand 0 to the point piece and to the piece on its right
+        specs = [PieceSpec(-math.inf, 0.0, Constant(2.0)), PieceSpec(0.0, 0.0, Constant(1.0)),
+                 PieceSpec(0.0, math.inf, Constant(0.5))]
+        with pytest.raises(PiecewiseBuildError, match="both claim"):
+            build_piecewise(specs, tags)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, x):
+        fn = capped_l1(0.2, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            fn.piece_index(x)
+        with pytest.raises(ValueError, match="finite"):
+            fn.piece_index(np.array([0.5, x]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["capped-l1", "indicator", "leaky-capped-l1", "l0",
+                                 "l1", "zero"]),
+           lam=st.floats(0.01, 10.0), b=st.floats(1e-3, 1e3), tau=st.floats(-1e3, 1e3),
+           beta_frac=st.floats(0.0, 0.99),
+           extra=st.lists(st.floats(-1e4, 1e4), max_size=20))
+    def test_matches_closure_definition_near_breakpoints(self, kind, lam, b, tau,
+                                                         beta_frac, extra):
+        params = {"capped-l1": {"lam": lam, "b": b},
+                  "indicator": {"lam": lam, "tau": tau},
+                  "leaky-capped-l1": {"lam": lam, "b": b, "beta": beta_frac * lam},
+                  "l0": {"lam": lam}, "l1": {"lam": lam}, "zero": {}}[kind]
+        fn = builtin_penalty(kind, **params)
+        pts = [np.array(extra, dtype=float), np.array([0.0, -0.0])]
+        for e in fn.endpoints:
+            q = e.value
+            pts.append(np.array([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)]))
+        pts = np.concatenate(pts)
+        counts, owners = closure_claims(fn, pts)
+        assert np.all(counts == 1)
+        assert np.array_equal(fn.piece_index(pts), owners)
+        assert [fn.piece_index(float(x)) for x in pts] == owners.tolist()
 
 
 class TestEvaluate:

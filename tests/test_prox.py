@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piecewise_prox import (
     PieceSpec,
@@ -17,7 +19,9 @@ from piecewise_prox import (
     prox_true,
     prox_vector,
 )
+from piecewise_prox.kernels import tie_break
 from piecewise_prox.piecewise import Affine
+from piecewise_prox.prox import _pick, _pick_columns
 
 
 def objective(f, s, x, v):
@@ -111,16 +115,17 @@ class TestOracle:
 class TestVector:
     def test_constant_coordinates_unchanged(self):
         fn = capped_l1(1.0, 1.0)
-        surs = [fn.surrogate(1), fn.surrogate(1)]
         u = np.array([0.3, -2.5])
-        assert np.array_equal(prox_vector(surs, 0.5, u), u)
+        assert np.array_equal(prox_vector(fn, [1, 1], 0.5, u), u)
 
     def test_mixed_kernels_match_scalar_calls(self):
         fn = capped_l1(0.5, 1.0)
         l0 = l0_penalty(0.8)
         surs = [fn.surrogate(2), fn.surrogate(3), l0.surrogate(2)]
         u = np.array([0.9, 4.0, 0.2])
-        out = prox_vector(surs, 0.6, u)
+        # one call per penalty, as Problem.prox_step makes them
+        out = np.concatenate([prox_vector(fn, [2, 3], 0.6, u[:2]),
+                              prox_vector(l0, [2], 0.6, u[2:])])
         expect = np.array([prox_surrogate(s_, 0.6, float(ui)) for s_, ui in zip(surs, u)])
         assert np.array_equal(out, expect)
 
@@ -129,8 +134,9 @@ class TestVector:
         rng = np.random.default_rng(7)
         u = rng.uniform(-3, 3, size=20)
         s = 0.8
-        surs = [fn.surrogate(int(m)) for m in fn.piece_index(u)]
-        out = prox_vector(surs, s, u)
+        assign = fn.piece_index(u)
+        surs = [fn.surrogate(int(m)) for m in assign]
+        out = prox_vector(fn, assign, s, u)
         for i, sur in enumerate(surs):
             hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, float(u[i]))
             ref = prox_oracle(sur, s, float(u[i]), hw, 1e-6)
@@ -139,7 +145,7 @@ class TestVector:
     def test_length_mismatch(self):
         fn = capped_l1(0.2, 1.0)
         with pytest.raises(ValueError, match="surrogates"):
-            prox_vector([fn.surrogate(1)], 0.5, np.zeros(2))
+            prox_vector(fn, [1], 0.5, np.zeros(2))
 
 
 class TestNumericFallback:
@@ -209,3 +215,60 @@ class TestInvariants:
                 px = prox_surrogate(sur, s, float(x))
                 py = prox_surrogate(sur, s, float(y))
                 assert abs(px - py) <= abs(x - y) + 1e-12
+
+
+def tie_break_fold(cands, psi):
+    """The sequential rule: per column, fold tie_break over the rows of least
+    psi in row order."""
+    out = []
+    for i in range(cands.shape[1]):
+        tied = np.flatnonzero(psi[:, i] == psi[:, i].min())
+        v = cands[tied[0], i]
+        for r in tied[1:]:
+            v = tie_break(v, cands[r, i])
+        out.append(v)
+    return np.array(out, dtype=float)
+
+
+# few distinct values, so that psi and |v| tie often, with both zeros
+TIE_VALUES = [-1.5, -1.0, -0.0, 0.0, 1.0, 1.5]
+TIE_PSI = [0.0, 0.5, 1.0]
+
+
+class TestTieRule:
+    def test_zero_signs_keep_the_earlier_row(self):
+        psi = np.zeros((2, 1))
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            got = _pick_columns(np.array([[first], [second]]), psi)
+            assert np.signbit(got[0]) == np.signbit(first)
+
+    def test_smaller_magnitude_then_negative(self):
+        cands = np.array([[1.0, 2.0], [-1.0, -2.0], [1.5, 3.0]])
+        psi = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.5]])
+        assert np.array_equal(_pick_columns(cands, psi), [-1.0, 3.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda rows: st.integers(1, 6).flatmap(
+        lambda cols: st.tuples(
+            st.lists(st.lists(st.sampled_from(TIE_VALUES), min_size=cols, max_size=cols),
+                     min_size=rows, max_size=rows),
+            st.lists(st.lists(st.sampled_from(TIE_PSI), min_size=cols, max_size=cols),
+                     min_size=rows, max_size=rows)))))
+    def test_columns_equal_sequential_fold(self, matrices):
+        cands, psi = (np.array(m, dtype=float) for m in matrices)
+        got = _pick_columns(cands, psi)
+        # bytes, so that 0.0 and -0.0 differ
+        assert got.tobytes() == tie_break_fold(cands, psi).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(TIE_VALUES), st.sampled_from(TIE_PSI)),
+                    min_size=1, max_size=8))
+    def test_pick_equals_sequential_fold(self, candidates):
+        best_v, best_f = candidates[0]
+        for v, fv in candidates[1:]:
+            if fv < best_f:
+                best_v, best_f = v, fv
+            elif fv == best_f:
+                best_v = tie_break(best_v, v)
+        got = _pick(candidates)
+        assert got == best_v and math.copysign(1.0, got) == math.copysign(1.0, best_v)
