@@ -66,19 +66,7 @@ class StepSizeCertificate:
         """(kappa, kappa0, kappa1, kappa2) evaluated at step size s."""
         if s <= 0:
             raise ValueError("step size must be positive")
-        sqd = math.sqrt(self.d)
-        if math.isinf(self.C):
-            k1 = math.inf
-        else:
-            eps0 = self.eps0 if self.eps0 is not None else math.inf
-            k1 = s * self.C * self.w0 * (eps0 - s * self.L_g * (1.0 - self.w0) * (self.G + self.F0))
-        k2 = self.J - 2.0 * s * self.F0 * (self.G + self.F0) if math.isfinite(self.J) else math.inf
-        k0 = min(k1, k2)
-        if math.isinf(k0):
-            kappa = math.inf
-        else:
-            kappa = k0 - s * (s * self.L_g * (self.G + sqd * self.F0) + self.G) * (self.G + sqd * self.F0)
-        return kappa, k0, k1, k2
+        return _kappas(s, self.L_g, self.G, self.F0, self.C, self.J, self.eps0, self.w0, self.d)
 
     def is_certified(self, s: float) -> bool:
         return 0.0 < s < self.s_max
@@ -165,6 +153,20 @@ def certify_step_size(L_g: float, G: float, F0: float, C: float = math.inf,
                                A, terms, s1, s_max, binding)
 
 
+def _kappas(s, L_g, G, F0, C, J, eps0, w0, d):
+    """(kappa, kappa0, kappa1, kappa2) at step size s; +inf where no term applies."""
+    D = G + math.sqrt(d) * F0
+    if math.isinf(C):
+        k1 = math.inf
+    else:
+        eps0 = eps0 if eps0 is not None else math.inf
+        k1 = s * C * w0 * (eps0 - s * L_g * (1.0 - w0) * (G + F0))
+    k2 = J - 2.0 * s * F0 * (G + F0) if math.isfinite(J) else math.inf
+    k0 = min(k1, k2)
+    kappa = math.inf if k0 == math.inf else k0 - s * (s * L_g * D + G) * D
+    return kappa, k0, k1, k2
+
+
 def _kappa_root(L_g, G, F0, C, J, eps0, w0, d) -> float:
     """sup { s > 0 : kappa(s) > 0 }; 0 when the set is empty.
 
@@ -172,17 +174,10 @@ def _kappa_root(L_g, G, F0, C, J, eps0, w0, d) -> float:
     kappa'(0+) = C w0 eps0 - G (G + sqrt(d) F0) decides feasibility; with only
     jumps kappa(0) = J > 0 and a positive root always exists.
     """
-    sqd = math.sqrt(d)
-    D = G + sqd * F0
+    D = G + math.sqrt(d) * F0
 
     def kappa(s: float) -> float:
-        if math.isinf(C):
-            k1 = math.inf
-        else:
-            k1 = s * C * w0 * (eps0 - s * L_g * (1.0 - w0) * (G + F0))
-        k2 = J - 2.0 * s * F0 * (G + F0) if math.isfinite(J) else math.inf
-        k0 = min(k1, k2)
-        return k0 - s * (s * L_g * D + G) * D
+        return _kappas(s, L_g, G, F0, C, J, eps0, w0, d)[0]
 
     if math.isfinite(C):
         slope0 = C * w0 * eps0 - G * D

@@ -446,10 +446,12 @@ class PiecewiseFn:
     _lo: np.ndarray = field(repr=False, default=None)
     _hi: np.ndarray = field(repr=False, default=None)
     # membership tables: the distinct breakpoint values padded with +inf, the
-    # piece owning each value and the piece covering the open gap below it
+    # piece owning each value, the piece covering the open gap below it and
+    # whether the penalty is continuous at each value
     _cuts: np.ndarray = field(repr=False, default=None)
     _at: np.ndarray = field(repr=False, default=None)
     _gap: np.ndarray = field(repr=False, default=None)
+    _continuous: np.ndarray = field(repr=False, default=None)
     _builtin: Optional[tuple] = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -476,13 +478,17 @@ class PiecewiseFn:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        idx = self.piece_index(arr)
-        out = np.empty_like(arr)
-        for i in range(self.n_pieces):
-            mask = idx == i + 1
-            if mask.any():
-                out[mask] = self.pieces[i].shape(arr[mask])
+        out = self._evaluate_on(arr, self.piece_index(arr))
         return float(out[0]) if scalar else out
+
+    def _evaluate_on(self, x: np.ndarray, assign: np.ndarray) -> np.ndarray:
+        """Penalty value at the 1-d array x, given its 1-based pieces."""
+        out = np.empty_like(x)
+        for i in range(self.n_pieces):
+            mask = assign == i + 1
+            if mask.any():
+                out[mask] = self.pieces[i].shape(x[mask])
+        return out
 
     __call__ = evaluate
 
@@ -495,12 +501,6 @@ class PiecewiseFn:
     def piece_bounds(self, m: int):
         """Closure bounds of piece m (1-based)."""
         return float(self._lo[m - 1]), float(self._hi[m - 1])
-
-    def endpoint_record(self, value: float) -> Endpoint:
-        for e in self.endpoints:
-            if e.value == value:
-                return e
-        raise KeyError(f"{value} is not a breakpoint")
 
     def endpoint_values(self) -> np.ndarray:
         """The distinct breakpoint values, ascending."""
@@ -654,7 +654,7 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str],
     endpoints = tuple(endpoints)
 
     _validate_tags(pieces, endpoints)
-    cuts, at, gap = _membership(pieces, endpoints)
+    cuts, at, gap, continuous = _membership(pieces, endpoints)
     C, J, F0, R0, s0 = _structural_constants(pieces, endpoints)
 
     if M > 1 and not math.isfinite(F0):
@@ -665,7 +665,7 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str],
     lo = np.array([p.left for p in pieces])
     hi = np.array([p.right for p in pieces])
     return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0,
-                       lo, hi, cuts, at, gap, builtin)
+                       lo, hi, cuts, at, gap, continuous, builtin)
 
 
 def _validate_tags(pieces, endpoints) -> None:
@@ -714,10 +714,14 @@ def _validate_tags(pieces, endpoints) -> None:
 
 
 def _membership(pieces, endpoints):
-    """``piece_index``'s tables (see PiecewiseFn); the continuity tags decide
-    which piece owns each breakpoint, and only one piece may own it."""
+    """The membership tables (see PiecewiseFn); the continuity tags decide
+    which piece owns each breakpoint, and only one piece may own it.  At a
+    value shared by the two endpoints of a single-point piece, continuity is
+    read from the first endpoint's tag."""
     owners: dict[float, set] = {}
+    continuous: dict[float, bool] = {}
     for j, e in enumerate(endpoints):
+        continuous.setdefault(e.value, e.is_continuous)
         left_p, right_p = pieces[j], pieces[j + 1]
         if e.continuity in (CONTINUOUS, LEFT_ONLY):
             owner = left_p
@@ -735,7 +739,7 @@ def _membership(pieces, endpoints):
     at = [min(owners[q]) for q in cuts] + [0]
     gap = [p.index for p in pieces if not p.is_point]
     return (np.array(cuts + [math.inf]), np.array(at, dtype=np.int64),
-            np.array(gap, dtype=np.int64))
+            np.array(gap, dtype=np.int64), np.array([continuous[q] for q in cuts] + [False]))
 
 
 def _structural_constants(pieces, endpoints):

@@ -10,9 +10,13 @@ Three algorithms share the machinery here:
                        back onto the convex pieces of the current iterate, the
                        prox uses the per-coordinate surrogates of those pieces,
                        and a negative-curvature-exploitation step decides
-                       whether an iterate may cross onto new pieces.
+                       whether an iterate may cross onto new pieces.  An
+                       accepted crossing is taken as the prox put it: one
+                       onto a single-point piece already lands on its value,
+                       so nothing is snapped.
 
-All three run through one loop and differ only in their per-iteration step.
+All three run through one loop and differ only in their per-iteration step,
+which hands the loop the piece assignment of the iterate it accepts.
 With a single convex piece the projection is the identity and ``ppgd`` reduces
 exactly to ``apg_monotone``.
 """
@@ -97,21 +101,20 @@ class Problem:
     def min_r0(self) -> float:
         return min(fn.R0 for fn, _ in self._groups)
 
-    def smooth_value(self, x) -> float:
-        return self.loss.value(x)
-
-    def smooth_gradient(self, x) -> np.ndarray:
-        return self.loss.gradient(x)
-
     def penalty_value(self, x) -> float:
+        return self.piece_penalty(self.assignments(x), x)
+
+    def piece_penalty(self, assignment, x) -> float:
+        """sum_i f(x_i) evaluated on the given 1-based pieces of x, which
+        must be x's own; one sum per penalty group."""
         x = np.asarray(x, dtype=float)
         total = 0.0
         for fn, ix in self._groups:
-            total += float(np.sum(fn.evaluate(x[ix])))
+            total += float(np.sum(fn._evaluate_on(x[ix], assignment[ix])))
         return total
 
     def objective(self, x) -> float:
-        return self.smooth_value(x) + self.penalty_value(x)
+        return self.loss.value(x) + self.penalty_value(x)
 
     def assignments(self, x) -> np.ndarray:
         """Per-coordinate 1-based piece indices."""
@@ -122,6 +125,10 @@ class Problem:
         return out
 
     def surrogate_penalty(self, assignment, v) -> float:
+        # One sum per (group, piece), unlike piece_penalty's one per group, and
+        # it must stay so: ppgd's guard compares this value with F(x), which
+        # at a plateau it matches up to rounding, so regrouping the sum flips
+        # guard decisions and changes how many iterations a run takes.
         v = np.asarray(v, dtype=float)
         total = 0.0
         for fn, ix in self._groups:
@@ -195,44 +202,32 @@ def surrogate_objective(problem: Problem, assignment, v) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != (problem.d,):
         raise ValueError(f"v has shape {v.shape}, expected ({problem.d},)")
-    return problem.smooth_value(v) + problem.surrogate_penalty(np.asarray(assignment), v)
+    return problem.loss.value(v) + problem.surrogate_penalty(np.asarray(assignment), v)
 
 
-def _endpoint_between(fn: PiecewiseFn, m: int, w_i: float, z_i: float) -> float:
-    """The endpoint of piece m inside [w_i, z_i], closer one to w_i if both."""
-    lo, hi = fn.piece_bounds(m)
-    seg_lo, seg_hi = min(w_i, z_i), max(w_i, z_i)
-    cands = [q for q in (lo, hi) if math.isfinite(q) and seg_lo <= q <= seg_hi]
-    if not cands:
-        raise SolverError(
-            f"no endpoint of piece {m} lies between w={w_i!r} and z={z_i!r}; "
-            "piece metadata is inconsistent"
-        )
-    return min(cands, key=lambda q: abs(q - w_i))
+def _nce_group(fn: PiecewiseFn, z, w, w0: float, assign_x, assign_z) -> bool:
+    """Whether any coordinate of one penalty group that moves from piece
+    ``assign_x`` onto ``assign_z`` satisfies an NCE acceptance condition.
 
-
-def _nce_group(fn: PiecewiseFn, x, z, w, w0: float, assign_x, assign_z):
-    """Negative-curvature-exploitation for one penalty group.
-
-    Returns (z_snapped, flag) where flag reports whether any crossing
-    coordinate satisfied an acceptance condition.
+    Each crossing is judged at the endpoint q of its old piece that lies
+    between w and z, the one closer to w if both do.
     """
-    flag = False
-    z_out = z.copy()
-    for i in np.flatnonzero(assign_z != assign_x):
-        q = _endpoint_between(fn, int(assign_x[i]), float(w[i]), float(z[i]))
-        rec = fn.endpoint_record(q)
-        d0 = abs(float(z[i]) - float(w[i]))
-        d1 = abs(float(z[i]) - q)
-        if rec.is_continuous:
-            if d1 >= w0 * d0:
-                flag = True
-        else:
-            flag = True
-            dest = fn.pieces[int(assign_z[i]) - 1]
-            if dest.is_point and dest.left == q:
-                z_out[i] = q
-    return z_out, flag
+    cross = np.flatnonzero(assign_z != assign_x)
+    wc, zc = w[cross], z[cross]
+    lo, hi = fn._lo[assign_x[cross] - 1], fn._hi[assign_x[cross] - 1]
+    seg_lo, seg_hi = np.minimum(wc, zc), np.maximum(wc, zc)
+    lo_in = np.isfinite(lo) & (seg_lo <= lo) & (lo <= seg_hi)
+    hi_in = np.isfinite(hi) & (seg_lo <= hi) & (hi <= seg_hi)
+    missing = np.flatnonzero(~(lo_in | hi_in))
+    if missing.size:
+        i = missing[0]
+        raise SolverError(
+            f"no endpoint of piece {int(assign_x[cross[i]])} lies between "
+            f"w={float(wc[i])!r} and z={float(zc[i])!r}; piece metadata is inconsistent"
+        )
+    q = np.where(lo_in & ~(hi_in & (np.abs(hi - wc) < np.abs(lo - wc))), lo, hi)
+    continuous = fn._continuous[np.searchsorted(fn._cuts, q)]
+    return bool(np.any(~continuous | (np.abs(zc - q) >= w0 * np.abs(zc - wc))))
 
 
 def nce(x_k, z_k1, w_k, w0: float, fn: PiecewiseFn) -> np.ndarray:
@@ -241,9 +236,10 @@ def nce(x_k, z_k1, w_k, w0: float, fn: PiecewiseFn) -> np.ndarray:
     If z sits on the same pieces as x it is accepted outright.  Otherwise each
     crossing coordinate is inspected: a continuous endpoint accepts only when
     the overshoot past the endpoint is at least the w0 fraction of the step
-    (d_{i,1} >= w0 d_{i,0}); a discontinuous endpoint always accepts, snapping
-    onto a single-point destination piece.  Without any acceptance the step is
-    rejected and x is returned.
+    (d_{i,1} >= w0 d_{i,0}); a discontinuous endpoint always accepts.  An
+    accepted z is returned as it is: a coordinate that crosses onto a
+    single-point piece already equals that piece's value.  Without any
+    acceptance the step is rejected and x is returned.
     """
     if not 0.0 < w0 <= 1.0:
         raise ValueError("w0 must lie in (0, 1]")
@@ -252,10 +248,9 @@ def nce(x_k, z_k1, w_k, w0: float, fn: PiecewiseFn) -> np.ndarray:
     w_k = np.atleast_1d(np.asarray(w_k, dtype=float))
     assign_x = fn.piece_index(x_k)
     assign_z = fn.piece_index(z_k1)
-    if np.array_equal(assign_x, assign_z):
+    if np.array_equal(assign_x, assign_z) or _nce_group(fn, z_k1, w_k, w0, assign_x, assign_z):
         return z_k1.copy()
-    z_out, flag = _nce_group(fn, x_k, z_k1, w_k, w0, assign_x, assign_z)
-    return z_out if flag else x_k.copy()
+    return x_k.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +274,6 @@ class Trace:
     nce_outcomes: list
     wall_ms: np.ndarray
     iterates: np.ndarray
-    assignments: np.ndarray
     final_residual: float = math.nan
 
     @property
@@ -318,24 +312,6 @@ class Trace:
             for row in self.to_rows():
                 fh.write(",".join(str(c) for c in row) + "\n")
 
-    def to_json(self) -> str:
-        import json
-
-        n_trans = self.n_transitions
-        rows = [
-            {
-                "k": int(self.k[j]),
-                "F": float(self.objective[j]),
-                "F_surrogate_z": None if math.isnan(self.surrogate_objective[j])
-                else float(self.surrogate_objective[j]),
-                "n_transitions_so_far": int(n_trans[j]),
-                "nce_flag": self.nce_outcomes[j],
-                "wall_ms": float(self.wall_ms[j]),
-            }
-            for j in range(len(self.k))
-        ]
-        return json.dumps({"meta": self.summary(), "rows": rows}, indent=2)
-
     def summary(self) -> dict:
         return {
             "solver": self.solver,
@@ -350,7 +326,7 @@ class Trace:
 
 
 class _TraceBuilder:
-    def __init__(self, solver, s, w0, x0, assign, F0, record_timing=True):
+    def __init__(self, solver, s, w0, x0, F0, record_timing=True):
         self.solver = solver
         self.s = s
         self.w0 = w0
@@ -362,9 +338,8 @@ class _TraceBuilder:
         self.outcomes = [""]
         self.wall = [0.0]
         self.iterates = [np.array(x0, dtype=float)]
-        self.assignments = [np.array(assign)]
 
-    def add(self, k, F, F_sz, transition, outcome, wall_ms, x, assign):
+    def add(self, k, F, F_sz, transition, outcome, wall_ms, x):
         self.k.append(k)
         self.objective.append(F)
         self.surrogate.append(F_sz)
@@ -372,7 +347,6 @@ class _TraceBuilder:
         self.outcomes.append(outcome)
         self.wall.append(wall_ms if self.record_timing else 0.0)
         self.iterates.append(np.array(x, dtype=float))
-        self.assignments.append(np.array(assign))
 
     def build(self, final_residual=math.nan) -> Trace:
         return Trace(
@@ -386,7 +360,6 @@ class _TraceBuilder:
             nce_outcomes=self.outcomes,
             wall_ms=np.asarray(self.wall, dtype=float),
             iterates=np.stack(self.iterates, axis=0),
-            assignments=np.stack(self.assignments, axis=0),
             final_residual=final_residual,
         )
 
@@ -409,6 +382,12 @@ def _check_finite(F: float, solver: str, k: int) -> None:
         raise SolverError(f"{solver}: non-finite objective at iteration {k} (diverging step?)")
 
 
+def _objective_and_pieces(problem: Problem, x):
+    """(F(x), piece assignment of x) from one membership pass."""
+    assign = problem.assignments(x)
+    return problem.loss.value(x) + problem.piece_penalty(assign, x), assign
+
+
 def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
            w0: Optional[float], stop_tol: Optional[float], record_timing: bool) -> Trace:
     """The iteration every solver shares.
@@ -417,9 +396,10 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     extrapolates u from it, records piece transitions and the trace, applies
     the ``stop_tol`` early stop and computes the final stationarity residual.
     Per iteration ``step(x, u, assign, F_x, s)`` returns
-    ``(x_next, F(x_next), z, F_probe, outcome)``: the accepted iterate, the
-    probe z that feeds the next extrapolation, the objective the step judged
-    the probe by (the trace's ``F_surrogate_z`` column) and the outcome label.
+    ``(x_next, F(x_next), assign_next, z, F_probe, outcome)``: the accepted
+    iterate with its objective and piece assignment, the probe z that feeds
+    the next extrapolation, the objective the step judged the probe by (the
+    trace's ``F_surrogate_z`` column) and the outcome label.
     """
     if not isinstance(K, numbers.Integral) or K < 0:
         raise ValueError(f"K must be a nonnegative integer, got {K!r}")
@@ -436,19 +416,17 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     x_prev = x.copy()
     z = x.copy()
     t_prev, t = 0.0, 1.0
-    assign = problem.assignments(x)
-    F_x = problem.objective(x)
+    F_x, assign = _objective_and_pieces(problem, x)
     _check_finite(F_x, solver, 0)
-    tb = _TraceBuilder(solver, s, w0, x, assign, F_x, record_timing)
+    tb = _TraceBuilder(solver, s, w0, x, F_x, record_timing)
     last_transition = 0
 
     for k in range(1, K + 1):
         tic = time.perf_counter()
         u = extrapolate(x, x_prev, z, t_prev, t)
-        x_next, F_next, z, F_probe, outcome = step(x, u, assign, F_x, s)
+        x_next, F_next, new_assign, z, F_probe, outcome = step(x, u, assign, F_x, s)
         _check_finite(F_probe, solver, k)
         _check_finite(F_next, solver, k)
-        new_assign = problem.assignments(x_next)
         transition = not np.array_equal(new_assign, assign)
         if transition:
             last_transition = k
@@ -458,7 +436,7 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
         assign, F_x = new_assign, F_next
 
         wall = (time.perf_counter() - tic) * 1e3
-        tb.add(k, F_x, F_probe, transition, outcome, wall, x, assign)
+        tb.add(k, F_x, F_probe, transition, outcome, wall, x)
 
         if stop_tol is not None and k - last_transition >= 10:
             if stationarity_residual(problem, x, s) < stop_tol:
@@ -484,25 +462,20 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
 
     def step(x, u, assign, F_x, s):
         w = problem.project(x, u, assign)
-        z = problem.prox_step(assign, s, w - s * problem.smooth_gradient(w))
-        g_z = problem.smooth_value(z)
+        z = problem.prox_step(assign, s, w - s * problem.loss.gradient(w))
+        g_z = problem.loss.value(z)
         F_sz = g_z + problem.surrogate_penalty(assign, z)
         if not F_sz <= F_x:
-            return x, F_x, z, F_sz, "guard-reject"
+            return x, F_x, assign, z, F_sz, "guard-reject"
         assign_z = problem.assignments(z)
         if np.array_equal(assign_z, assign):
-            return z, g_z + problem.penalty_value(z), z, F_sz, "same-piece"
-        z_snap = z.copy()
-        flag = False
-        for fn, ix in problem._groups:
-            zs, fl = _nce_group(fn, x[ix], z[ix], w[ix], w0, assign[ix], assign_z[ix])
-            flag = flag or fl
-            z_snap[ix] = zs
-        if not flag:
-            return x, F_x, z, F_sz, "nce-reject"
-        if np.array_equal(z_snap, z):
-            return z_snap, g_z + problem.penalty_value(z), z, F_sz, "nce-accept"
-        return z_snap, problem.objective(z_snap), z, F_sz, "nce-accept"
+            outcome = "same-piece"
+        elif any([_nce_group(fn, z[ix], w[ix], w0, assign[ix], assign_z[ix])
+                  for fn, ix in problem._groups]):  # every group judged, so each may raise
+            outcome = "nce-accept"
+        else:
+            return x, F_x, assign, z, F_sz, "nce-reject"
+        return z, g_z + problem.piece_penalty(assign_z, z), assign_z, z, F_sz, outcome
 
     return _solve("ppgd", step, problem, x0, s, K, w0, stop_tol, record_timing)
 
@@ -515,9 +488,9 @@ def pgd(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
     """
 
     def step(x, u, assign, F_x, s):
-        x_new = _prox_full(problem, s, x - s * problem.smooth_gradient(x))
-        F_new = problem.objective(x_new)
-        return x_new, F_new, x_new, F_new, "step"
+        x_new = _prox_full(problem, s, x - s * problem.loss.gradient(x))
+        F_new, assign_new = _objective_and_pieces(problem, x_new)
+        return x_new, F_new, assign_new, x_new, F_new, "step"
 
     return _solve("pgd", step, problem, x0, s, K, None, None, record_timing)
 
@@ -531,11 +504,11 @@ def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
     """
 
     def step(x, u, assign, F_x, s):
-        z = _prox_full(problem, s, u - s * problem.smooth_gradient(u))
-        F_z = problem.objective(z)
+        z = _prox_full(problem, s, u - s * problem.loss.gradient(u))
+        F_z, assign_z = _objective_and_pieces(problem, z)
         if F_z <= F_x:
-            return z, F_z, z, F_z, "accept"
-        return x, F_x, z, F_z, "revert"
+            return z, F_z, assign_z, z, F_z, "accept"
+        return x, F_x, assign, z, F_z, "revert"
 
     return _solve("apg", step, problem, x0, s, K, None, None, record_timing)
 
@@ -562,7 +535,7 @@ def stationarity_residual(problem: Problem, x, s: float) -> float:
         raise ValueError("step size must be positive")
     x = np.asarray(x, dtype=float)
     assign = problem.assignments(x)
-    p = problem.prox_step(assign, s, x - s * problem.smooth_gradient(x))
+    p = problem.prox_step(assign, s, x - s * problem.loss.gradient(x))
     return float(np.linalg.norm(x - p) / s)
 
 
@@ -588,7 +561,7 @@ def estimate_G(problem: Problem, x0, trace: Optional[Trace] = None,
     samples = lo[None, :] + unit * (hi - lo)[None, :]
     best = 0.0
     for p in (lo, hi, 0.5 * (lo + hi)):
-        best = max(best, float(np.linalg.norm(problem.smooth_gradient(p))))
+        best = max(best, float(np.linalg.norm(problem.loss.gradient(p))))
     for row in samples:
-        best = max(best, float(np.linalg.norm(problem.smooth_gradient(row))))
+        best = max(best, float(np.linalg.norm(problem.loss.gradient(row))))
     return safety * best

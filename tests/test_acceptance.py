@@ -131,11 +131,13 @@ def test_criterion_2_monotone_descent(seeded_traces):
 
 def test_criterion_4_eventual_piece_stability(seeded_traces):
     checked = 0
+    problems = dict(_seeded_problems())
     for seed, name, trace in seeded_traces[0]:
+        assignments = np.array([problems[seed].assignments(x) for x in trace.iterates])
         last = trace.last_transition_index()
-        tail = trace.assignments[max(last, 0):]
+        tail = assignments[max(last, 0):]
         assert np.all(tail == tail[0]), f"{name} seed {seed} unstable after last transition"
-        changed = np.any(np.diff(trace.assignments, axis=0) != 0, axis=1)
+        changed = np.any(np.diff(assignments, axis=0) != 0, axis=1)
         assert np.array_equal(trace.transitions[1:], changed)
         checked += 1
     report(4, f"piece assignment constant after the last transition in {checked} runs")

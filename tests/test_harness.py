@@ -11,6 +11,7 @@ from piecewise_prox import (
     Dataset,
     ExperimentConfig,
     IdxFormatError,
+    PiecewiseFn,
     Problem,
     apg_monotone,
     build_problem,
@@ -331,6 +332,31 @@ class TestRunExperiment:
         doc["tail_fraction"] = 1
         cfg = ExperimentConfig.from_dict(doc)
         assert cfg.solvers[0].s == 1 and cfg.solvers[0].w0 == 1 and cfg.tail_fraction == 1
+
+
+class TestMembershipPasses:
+    # One piece_index call per penalty group (the desk problem has one) for
+    # the start point, for each iterate a step accepts and for the final
+    # residual.  ppgd's 40 steps are 19 same-piece steps and 21 guard-rejects,
+    # which keep x and its pieces; apg and pgd also make one call per step in
+    # prox_true, which values its candidates.
+    @pytest.mark.parametrize("solver, calls", [(ppgd, 21), (apg_monotone, 82), (pgd, 82)])
+    def test_piece_index_calls(self, tmp_path, monkeypatch, solver, calls):
+        problem, x0 = build_problem(desk_config(tmp_path))
+        piece_index = PiecewiseFn.piece_index
+        count = 0
+
+        def counted(self, x):
+            nonlocal count
+            count += 1
+            return piece_index(self, x)
+
+        monkeypatch.setattr(PiecewiseFn, "piece_index", counted)
+        trace = solver(problem, x0, K=40)
+        if solver is ppgd:
+            assert trace.nce_outcomes.count("same-piece") == 19
+            assert trace.nce_outcomes.count("guard-reject") == 21
+        assert count == calls
 
 
 class TestFitRate:

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from piecewise_prox import solvers
 from piecewise_prox import (
+    Affine,
+    Constant,
     Dataset,
+    PieceSpec,
     Problem,
     SolverError,
     apg_monotone,
+    build_piecewise,
     capped_l1,
     estimate_G,
     extrapolate,
@@ -25,6 +32,7 @@ from piecewise_prox import (
     tk_next,
     zero_penalty,
 )
+from piecewise_prox.piecewise import builtin_penalty
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -128,6 +136,15 @@ class TestNce:
         out = nce(np.array([0.5]), np.array([0.0]), np.array([0.3]), 0.5, fn)
         assert out[0] == 0.0
 
+    def test_endpoint_nearer_w_and_threshold_tie(self):
+        fn = capped_l1(0.2, 1.0)
+        # both endpoints of [-1, 1] lie in [w, z]: the one at w judges, d1 = d0
+        out = nce(np.array([0.5]), np.array([1.2]), np.array([-1.0]), 0.5, fn)
+        assert out[0] == 1.2  # judged at 1.0 it would reject: 0.2 < 0.5 * 2.2
+        # d1 = w0 d0 exactly accepts
+        out = nce(np.array([0.9]), np.array([1.5]), np.array([1.0]), 1.0, fn)
+        assert out[0] == 1.5
+
     def test_inconsistent_metadata_raises(self):
         fn = capped_l1(0.2, 1.0)
         with pytest.raises(SolverError, match="no endpoint"):
@@ -137,6 +154,83 @@ class TestNce:
         fn = capped_l1(0.2, 1.0)
         with pytest.raises(ValueError):
             nce(np.zeros(1), np.zeros(1), np.zeros(1), 0.0, fn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from(["capped-l1", "indicator", "leaky-capped-l1", "l0", "l1",
+                                 "zero", "point isolated/left-only",
+                                 "point right-only/continuous"]),
+           lam=st.floats(0.01, 10.0), b=st.floats(1e-3, 1e3), tau=st.floats(-1e3, 1e3),
+           beta_frac=st.floats(0.0, 0.99),
+           w0=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1.0)),
+           n=st.integers(1, 3))
+    def test_array_rule_matches_scalar_walk(self, data, kind, lam, b, tau, beta_frac, w0, n):
+        fn = _nce_penalty(kind, lam, b, tau, beta_frac)
+        pool = [0.0, -0.0]
+        for e in fn.endpoints:
+            q = e.value
+            pool += [q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf),
+                     q - 2.0, q - 1.0, q + 1.0, q + 2.0]
+        values = st.lists(st.one_of(st.sampled_from(pool), st.floats(-1e4, 1e4)),
+                          min_size=n, max_size=n)
+        x, z, w = (np.array(data.draw(values)) for _ in range(3))
+        assign_x, assign_z = fn.piece_index(x), fn.piece_index(z)
+        # mostly w on the closure of x's piece, as the projection hands it over
+        clip = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        w = np.where(clip, np.clip(w, fn._lo[assign_x - 1], fn._hi[assign_x - 1]), w)
+        try:
+            expect = _scalar_nce_flag(fn, z, w, w0, assign_x, assign_z)
+        except SolverError as exc:
+            with pytest.raises(SolverError) as got:
+                solvers._nce_group(fn, z, w, w0, assign_x, assign_z)
+            assert str(got.value) == str(exc)
+            return
+        assert solvers._nce_group(fn, z, w, w0, assign_x, assign_z) is expect
+        out = nce(x, z, w, w0, fn)
+        keep = expect or np.array_equal(assign_x, assign_z)
+        assert out.tobytes() == (z if keep else x).tobytes()
+
+
+def _nce_penalty(kind, lam, b, tau, beta_frac):
+    """A built-in penalty, or a single-point piece at tau with one of two tag pairs."""
+    if kind == "point isolated/left-only":
+        return build_piecewise([PieceSpec(-math.inf, tau, Constant(1.0)),
+                                PieceSpec(tau, tau, Constant(0.0)),
+                                PieceSpec(tau, math.inf, Constant(0.5))],
+                               ["isolated", "left-only"])
+    if kind == "point right-only/continuous":
+        # continuous from the right of the point, so the two tags at tau differ
+        return build_piecewise([PieceSpec(-math.inf, tau, Constant(1.0)),
+                                PieceSpec(tau, tau, Constant(0.0)),
+                                PieceSpec(tau, math.inf, Affine(-1.0, tau))],
+                               ["right-only", "continuous"])
+    params = {"capped-l1": {"lam": lam, "b": b},
+              "indicator": {"lam": lam, "tau": tau},
+              "leaky-capped-l1": {"lam": lam, "b": b, "beta": beta_frac * lam},
+              "l0": {"lam": lam}, "l1": {"lam": lam}, "zero": {}}[kind]
+    return builtin_penalty(kind, **params)
+
+
+def _scalar_nce_flag(fn, z, w, w0, assign_x, assign_z):
+    """The NCE accept flag, one crossing coordinate at a time: the endpoint q
+    of the old piece inside [w, z], the one nearer w if both are, judged by
+    the tag of the first endpoint record at q."""
+    flag = False
+    for i in np.flatnonzero(assign_z != assign_x):
+        m, w_i, z_i = int(assign_x[i]), float(w[i]), float(z[i])
+        lo, hi = fn.piece_bounds(m)
+        seg_lo, seg_hi = min(w_i, z_i), max(w_i, z_i)
+        cands = [q for q in (lo, hi) if math.isfinite(q) and seg_lo <= q <= seg_hi]
+        if not cands:
+            raise SolverError(
+                f"no endpoint of piece {m} lies between w={w_i!r} and z={z_i!r}; "
+                "piece metadata is inconsistent"
+            )
+        q = min(cands, key=lambda q: abs(q - w_i))
+        record = next(e for e in fn.endpoints if e.value == q)
+        if not record.is_continuous or abs(z_i - q) >= w0 * abs(z_i - w_i):
+            flag = True
+    return flag
 
 
 class TestSurrogateObjective:
@@ -151,8 +245,8 @@ class TestSurrogateObjective:
         assign = np.array([2])  # middle piece surrogate 0.2|x|
         v = np.array([3.0])
         sur = surrogate_objective(prob, assign, v)
-        assert sur == pytest.approx(prob.smooth_value(v) + 0.2 * 3.0, abs=1e-12)
-        assert prob.objective(v) == pytest.approx(prob.smooth_value(v) + 0.2, abs=1e-12)
+        assert sur == pytest.approx(prob.loss.value(v) + 0.2 * 3.0, abs=1e-12)
+        assert prob.objective(v) == pytest.approx(prob.loss.value(v) + 0.2, abs=1e-12)
         assert sur > prob.objective(v)
 
     def test_constant_assignment(self):
@@ -160,7 +254,7 @@ class TestSurrogateObjective:
         assign = np.array([3])
         v = np.array([-4.0])
         assert surrogate_objective(prob, assign, v) == pytest.approx(
-            prob.smooth_value(v) + 0.2, abs=1e-12)
+            prob.loss.value(v) + 0.2, abs=1e-12)
 
 
 class TestPpgd:
@@ -194,7 +288,8 @@ class TestPpgd:
     def test_transition_bookkeeping(self):
         prob = one_d_problem()
         trace = ppgd(prob, np.zeros(1), s=0.5, K=150)
-        changed = np.any(np.diff(trace.assignments, axis=0) != 0, axis=1)
+        assignments = np.array([prob.assignments(x) for x in trace.iterates])
+        changed = np.any(np.diff(assignments, axis=0) != 0, axis=1)
         assert np.array_equal(trace.transitions[1:], changed)
         assert trace.n_transitions[-1] >= 1
 
@@ -202,7 +297,7 @@ class TestPpgd:
         prob = one_d_problem()
         trace = ppgd(prob, np.zeros(1), s=0.5, K=150)
         last = trace.last_transition_index()
-        tail = trace.assignments[last:]
+        tail = np.array([prob.assignments(x) for x in trace.iterates[last:]])
         assert np.all(tail == tail[0])
 
     def test_step_length_bound_along_run(self):
@@ -225,7 +320,7 @@ class TestPpgd:
         for k in range(1, 81):
             u = extrapolate(x, x_prev, z, t_prev, t)
             w = prob.project(x, u, assign)
-            grad = prob.smooth_gradient(w)
+            grad = prob.loss.gradient(w)
             G_emp = max(G_emp, float(np.linalg.norm(grad)))
             z_new = prob.prox_step(assign, s, w - s * grad)
             if np.linalg.norm(z_new - w) > s * (G_emp + math.sqrt(d) * F0) + 1e-9:
@@ -257,8 +352,6 @@ class TestPpgd:
                     solver(prob, **kwargs)
 
     def test_trace_serialization(self, tmp_path):
-        import json
-
         prob = one_d_problem()
         trace = ppgd(prob, np.zeros(1), s=0.5, K=20)
         path = tmp_path / "t.csv"
@@ -266,12 +359,11 @@ class TestPpgd:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,F,F_surrogate_z,n_transitions_so_far,nce_flag,wall_ms"
         assert len(lines) == 22  # header + K+1 rows
-        doc = json.loads(trace.to_json())
-        assert doc["meta"]["solver"] == "ppgd"
-        assert len(doc["rows"]) == 21
-        assert doc["rows"][0]["F_surrogate_z"] is None
+        rows = [line.split(",") for line in lines[1:]]
+        assert trace.summary()["solver"] == "ppgd"
+        assert rows[0][2] == ""  # no probe at row 0
         # round-trippable objective column
-        assert [r["F"] for r in doc["rows"]] == [float(v) for v in trace.objective]
+        assert [float(r[1]) for r in rows] == [float(v) for v in trace.objective]
 
 
 class TestPgd:
@@ -283,7 +375,7 @@ class TestPgd:
         prob = Problem(least_squares(Dataset(D, y)), l0_penalty(0.3))
         s = 0.25
         x = rng.uniform(-1, 1, size=d)
-        v = x - s * prob.smooth_gradient(x)
+        v = x - s * prob.loss.gradient(x)
         from piecewise_prox import prox_true
         out = prox_true(prob.shared_penalty, s, v)
         thr = math.sqrt(2.0 * 0.3 * s)
@@ -299,7 +391,7 @@ class TestPgd:
         trace = pgd(prob, np.zeros(5), s=s, K=30)
         x = np.zeros(5)
         for _ in range(30):
-            x = x - s * prob.smooth_gradient(x)
+            x = x - s * prob.loss.gradient(x)
         assert np.array_equal(trace.final_x, x)
 
     def test_same_minimizer_as_ppgd_in_1d(self):
@@ -324,7 +416,7 @@ class TestApg:
         s = 0.02
         trace = apg_monotone(prob, np.zeros(4), s=s, K=1)
         # first iteration: u = x0, so z = x0 - s grad g(x0)
-        expect = -s * prob.smooth_gradient(np.zeros(4))
+        expect = -s * prob.loss.gradient(np.zeros(4))
         assert np.allclose(trace.iterates[1], expect, atol=1e-15)
 
     def test_monotone(self):
