@@ -290,7 +290,9 @@ class Piece:
     def slope_bound(self) -> float:
         if self.is_point:
             return 0.0
-        return max(abs(self.left_slope), abs(self.right_slope))
+        # a NaN slope (a custom shape at an infinite end) is unbounded
+        return max(math.inf if math.isnan(t) else abs(t)
+                   for t in (self.left_slope, self.right_slope))
 
 
 def _normalize_shape(shape) -> object:
@@ -405,25 +407,6 @@ class SurrogateFn:
         if self.right_case != CASE_NONE:
             b = max(b, abs(self.right_slope))
         return b
-
-    def jump_bound(self) -> float:
-        """Largest discontinuity of the surrogate (constant-limit sides)."""
-        j = 0.0
-        p = self.piece
-        if self.left_case == CASE_CONSTANT_LIMIT:
-            j = max(j, abs(self.left_value - p.value_left))
-        if self.right_case == CASE_CONSTANT_LIMIT:
-            j = max(j, abs(self.right_value - p.value_right))
-        return j
-
-    def breakpoints(self):
-        pts = []
-        p = self.piece
-        if self.left_case != CASE_NONE:
-            pts.append(p.left)
-        if self.right_case != CASE_NONE and p.right != p.left:
-            pts.append(p.right)
-        return pts
 
 
 # ---------------------------------------------------------------------------

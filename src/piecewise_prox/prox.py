@@ -1,10 +1,12 @@
 """Proximal maps for surrogate penalties, plus a brute-force grid oracle.
 
 ``prox_surrogate`` dispatches to the surrogate's registered closed-form kernel
-and otherwise falls back to golden-section minimization over the surrogate's
-convex regions.  ``prox_vector`` does so for one penalty's coordinates, one
-kernel call per piece present.  ``prox_true`` is the exact prox of the full
-penalty.  All of them break ties with the library rule (``_pick_columns``).
+and otherwise takes the best of a golden-section search on the piece closure
+and the closed-form minimizers of its affine or constant wings.
+``prox_vector`` does so for one penalty's coordinates, one array call per
+piece present.  ``prox_true`` is the exact prox of the full penalty.  All of
+them break ties with the library rule (``_pick_columns``), and every
+golden-section search runs on all of its brackets at once (``_golden_min``).
 ``prox_oracle`` is an independent ground-truth used by tests: a dense grid
 argmin refined by one golden-section pass per local basin.  The two routes are
 kept separate so each can check the other.
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .piecewise import PiecewiseFn, SurrogateFn
+from .piecewise import CASE_NONE, PiecewiseFn, SurrogateFn
 
 __all__ = [
     "ProxError",
@@ -29,18 +31,16 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_CHUNK = 1 << 20
+_CHUNK = 1 << 14
 
 
 class ProxError(RuntimeError):
-    """Numeric prox fallback failed to bracket a minimizer."""
+    """Numeric prox failed: no bracket for a minimizer, or a NaN objective."""
 
 
-def _objective(f: Callable, s: float, x: float):
-    def psi(v):
-        return (v - x) ** 2 / (2.0 * s) + f(v)
-
-    return psi
+def _objective(f: Callable, s: float, u):
+    """v -> (1/2s)(v - u)^2 + f(v), elementwise."""
+    return lambda v: (v - u) ** 2 / (2.0 * s) + f(v)
 
 
 def minimizer_halfwidth(slope_bound: float, jump_bound: float, jump_points,
@@ -66,32 +66,45 @@ def minimizer_halfwidth(slope_bound: float, jump_bound: float, jump_points,
     return base
 
 
-def _golden_min(psi: Callable, lo: float, hi: float, tol: float = 1e-12, iters: int = 200):
-    """Golden-section search; returns (argmin, value) among sampled points."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+def _golden_min(psi: Callable, lo, hi, tol: float = 1e-12, iters: int = 200):
+    """Golden-section search on every bracket [lo_i, hi_i] in lockstep.
+
+    ``psi`` maps an array of points, one per bracket, to their objectives.  A
+    bracket stops once it is at most ``tol`` wide, so each one takes the
+    samples that a search of its own would.  Returns the (argmin, value)
+    arrays among each bracket's samples and its two ends.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    a, b = lo.copy(), hi.copy()
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = psi(c), psi(d)
-    best_v, best_f = (c, fc) if fc <= fd else (d, fd)
+    best_v, best_f = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
     for _ in range(iters):
-        if abs(b - a) <= tol:
+        live = np.abs(b - a) > tol
+        if not live.any():
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = psi(c)
-            if fc < best_f:
-                best_v, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = psi(d)
-            if fd < best_f:
-                best_v, best_f = d, fd
-    for v in (lo, hi):
+        # on the left, keep [a, d]: c becomes d and a new c is sampled; on
+        # the right, keep [c, b]: d becomes c and a new d is sampled
+        left = live & (fc <= fd)
+        right = live ^ left
+        np.copyto(a, c, where=right)
+        np.copyto(b, d, where=left)
+        step = _GOLDEN * (b - a)
+        v = np.where(left, b - step, a + step)
         fv = psi(v)
-        if fv < best_f:
-            best_v, best_f = v, fv
+        for x, y, fx, fy, side in ((d, c, fd, fc, left), (c, d, fc, fd, right)):
+            np.copyto(x, y, where=side)
+            np.copyto(fx, fy, where=side)
+            np.copyto(y, v, where=side)
+            np.copyto(fy, fv, where=side)
+        better = live & (fv < best_f)
+        np.copyto(best_v, v, where=better)
+        np.copyto(best_f, fv, where=better)
+    for end in (lo, hi):
+        fe = psi(end)
+        better = fe < best_f
+        np.copyto(best_v, end, where=better)
+        np.copyto(best_f, fe, where=better)
     return best_v, best_f
 
 
@@ -111,6 +124,14 @@ def _pick_columns(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return cands[ok.argmax(axis=0), np.arange(cands.shape[1])]
 
 
+def _pick_checked(cands: np.ndarray, psi: np.ndarray, coords) -> np.ndarray:
+    """``_pick_columns``, but a NaN psi raises ProxError naming its column's coords."""
+    if np.isnan(psi).any():
+        col = np.isnan(psi).any(axis=0).argmax()
+        raise ProxError(f"coordinate {int(coords[col])}: NaN objective among the prox candidates")
+    return _pick_columns(cands, psi)
+
+
 def _pick(candidates):
     """Argmin of (v, psi(v)) pairs with the library tie rule."""
     v, f = np.array(candidates, dtype=float).T
@@ -123,26 +144,39 @@ def prox_surrogate(f_m: SurrogateFn, s: float, x: float) -> float:
         raise ValueError("step size s must be positive")
     if f_m.kernel is not None:
         return f_m.kernel.prox(float(x), s)
-    return _numeric_prox(f_m, s, float(x))
+    return float(_surrogate_prox(f_m, s, np.array([float(x)]), (0,))[0])
 
 
-def _numeric_prox(f_m: SurrogateFn, s: float, x: float) -> float:
-    hw = minimizer_halfwidth(f_m.slope_bound(), f_m.jump_bound(),
-                             f_m.breakpoints(), s, x)
-    lo, hi = x - hw, x + hw
-    cuts = sorted({lo, hi, *(q for q in f_m.breakpoints() if lo < q < hi)})
-    psi = _objective(f_m, s, x)
-    candidates = []
-    for a, b in zip(cuts, cuts[1:]):
-        v, fv = _golden_min(psi, a, b)
-        if not math.isfinite(fv):
-            raise ProxError(f"non-finite surrogate objective near v={v!r}")
-        candidates.append((v, fv))
-    for q in cuts:
-        fq = psi(q)
-        if math.isfinite(fq):
-            candidates.append((q, fq))
-    return _pick(candidates)
+def _surrogate_prox(sur: SurrogateFn, s: float, u: np.ndarray, coords) -> np.ndarray:
+    """Prox at each u of a kernel-less surrogate: the best of the closure
+    minimizer and each affine or constant wing's minimizer clipped to the
+    wing.  At a clipped edge the surrogate takes the piece's own value, which
+    lower semicontinuity keeps at or below the wing's limit, so the clip is
+    exact.  ``coords`` names u's coordinates in errors."""
+    p = sur.piece
+    rows = [_closure_prox(sur, s, u, p.left, p.right)]
+    if sur.left_case != CASE_NONE:
+        rows.append(np.minimum(u - s * sur.left_slope, p.left))
+    if sur.right_case != CASE_NONE:
+        rows.append(np.maximum(u - s * sur.right_slope, p.right))
+    cands = np.stack(rows)
+    psi = _objective(lambda v: sur(v.ravel()).reshape(v.shape), s, u)(cands)
+    return _pick_checked(cands, psi, coords)
+
+
+def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Minimizer at each u of (1/2s)(v - u)^2 + sur(v) over the closure
+    [lo, hi], where sur is its convex piece: a golden-section search on the
+    closure cut to the reach u +- hw, against the finite edges, or the nearer
+    edge where the reach misses the closure."""
+    hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, 0.0)
+    a, b = np.maximum(lo, u - hw), np.minimum(hi, u + hw)
+    edge, miss = np.where(u < lo, lo, hi), a > b
+    psi = _objective(sur, s, u)
+    v, fv = _golden_min(psi, np.where(miss, edge, a), np.where(miss, edge, b))
+    ends = [np.full_like(u, end) for end in (lo, hi) if math.isfinite(end)]
+    best = _pick_columns(np.stack([v, *ends]), np.stack([fv, *map(psi, ends)]))
+    return np.where(miss, edge, best)
 
 
 def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
@@ -184,11 +218,12 @@ def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
         if vals[k] < best[1]:
             best = (float(v[k]), float(vals[k]))
         start = stop
-    psi = _objective(f, s, x)
-    candidates = [(lo, psi(lo)), (hi, psi(hi)), (best[0], best[1])]
-    for a, b in brackets:
-        vv, fv = _golden_min(psi, a, b, tol=1e-10)
-        candidates.append((vv, fv))
+    psi = _objective(lambda v: np.asarray(f(v), dtype=float), s, x)
+    ends = np.array([lo, hi])
+    candidates = [*zip(ends, psi(ends)), best]
+    if brackets:
+        a, b = np.array(brackets).T
+        candidates += zip(*_golden_min(psi, a, b, tol=1e-10))
     return _pick(candidates)
 
 
@@ -196,9 +231,9 @@ def prox_vector(fn: PiecewiseFn, assignment, s: float, u: np.ndarray) -> np.ndar
     """Coordinatewise prox of the surrogates of one penalty.
 
     Coordinate i of u takes the prox of ``fn.surrogate(assignment[i])``, with
-    1-based piece indices.  Each piece present gets one closed-form kernel
-    call on its coordinates; a surrogate without a kernel goes through the
-    golden-section fallback coordinate by coordinate.
+    1-based piece indices.  Each piece present gets one array call on its
+    coordinates: its closed-form kernel, or the kernel-less surrogate prox.
+    Only a NaN objective raises ProxError, naming the first such coordinate.
     """
     u = np.asarray(u, dtype=float)
     assignment = np.asarray(assignment)
@@ -213,12 +248,8 @@ def prox_vector(fn: PiecewiseFn, assignment, s: float, u: np.ndarray) -> np.ndar
         sur = fn.surrogate(m)
         if sur.kernel is not None:
             out[sel] = sur.kernel.prox(u[sel], s)
-            continue
-        for i in sel:
-            try:
-                out[i] = _numeric_prox(sur, s, float(u[i]))
-            except ProxError as exc:
-                raise ProxError(f"coordinate {int(i)}: {exc}") from exc
+        else:
+            out[sel] = _surrogate_prox(sur, s, u[sel], sel)
     return out
 
 
@@ -235,34 +266,10 @@ def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
     for m in range(1, fn.n_pieces + 1):
         sur = fn.surrogate(m)
         lo, hi = fn.piece_bounds(m)
-        if sur.kernel is not None:
-            c = np.clip(sur.kernel.prox(u, s), lo, hi)
-        else:
-            c = np.array([
-                _golden_on_interval(sur, s, float(ui), lo, hi) for ui in u
-            ])
-        cand_vals.append(c)
+        cand_vals.append(np.clip(sur.kernel.prox(u, s), lo, hi) if sur.kernel is not None
+                         else _closure_prox(sur, s, u, lo, hi))
     for q in fn.endpoint_values():
         cand_vals.append(np.full(u.shape, q))
     cands = np.stack(cand_vals, axis=0)
-    psi = (cands - u[None, :]) ** 2 / (2.0 * s) + fn.evaluate(cands)
-    if np.isnan(psi).any():
-        raise ProxError("NaN objective among the prox candidates")
-    return _pick_columns(cands, psi)
-
-
-def _golden_on_interval(sur: SurrogateFn, s: float, x: float, lo: float, hi: float) -> float:
-    if lo == hi:
-        return lo
-    hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, x)
-    a = max(lo, x - hw) if math.isfinite(lo) else x - hw
-    b = min(hi, x + hw) if math.isfinite(hi) else x + hw
-    if a > b:  # interval entirely outside the reach: nearest edge is optimal
-        return lo if x < lo else hi
-    psi = _objective(sur, s, x)
-    v, fv = _golden_min(psi, a, b)
-    cands = [(v, fv)]
-    for edge in (lo, hi):
-        if math.isfinite(edge):
-            cands.append((edge, psi(edge)))
-    return _pick(cands)
+    psi = _objective(fn.evaluate, s, u)(cands)
+    return _pick_checked(cands, psi, np.arange(u.size))

@@ -163,13 +163,26 @@ class TestBuild:
                 ["left-only"],
             )
 
-    def test_unbounded_slope_rejected_when_multiple_pieces(self):
+    @pytest.mark.parametrize("specs,tags", [
+        ([PieceSpec(-math.inf, 1.0, Quadratic(1.0, 0.0, 0.0)),
+          PieceSpec(1.0, math.inf, Affine(0.5, 0.5))], ["continuous"]),
+        # a custom shape has no slope estimate at an infinite end (NaN)
+        ([PieceSpec(-math.inf, 0.0, lambda x: 1.0 + 0.3 * np.abs(x)),
+          PieceSpec(0.0, math.inf, Affine(0.5, 0.0))], ["right-only"]),
+    ], ids=["quadratic", "custom-at-infinity"])
+    def test_unbounded_slope_rejected_when_multiple_pieces(self, specs, tags):
         with pytest.raises(PiecewiseBuildError, match="unbounded"):
-            build_piecewise(
-                [PieceSpec(-math.inf, 1.0, Quadratic(1.0, 0.0, 0.0)),
-                 PieceSpec(1.0, math.inf, Affine(0.5, 0.5))],
-                ["continuous"],
-            )
+            build_piecewise(specs, tags)
+
+    def test_custom_piece_at_infinity_needs_its_slope(self):
+        alone = build_piecewise([PieceSpec(-math.inf, math.inf, lambda x: 0.5 * x * x)], [])
+        assert math.isinf(alone.F0)  # like a single quadratic piece
+        given = build_piecewise(
+            [PieceSpec(-math.inf, 0.0, lambda x: 1.0 + 0.3 * np.abs(x), left_slope=-0.3),
+             PieceSpec(0.0, math.inf, Affine(0.5, 0.0))],
+            ["right-only"],
+        )
+        assert given.F0 == pytest.approx(0.5)
 
     def test_decreasing_slope_metadata_rejected(self):
         with pytest.raises(PiecewiseBuildError, match="contradicting convexity"):

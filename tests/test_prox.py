@@ -20,8 +20,8 @@ from piecewise_prox import (
     prox_vector,
 )
 from piecewise_prox.kernels import tie_break
-from piecewise_prox.piecewise import Affine
-from piecewise_prox.prox import _pick, _pick_columns
+from piecewise_prox.piecewise import Affine, Constant
+from piecewise_prox.prox import _golden_min, _pick, _pick_columns
 
 
 def objective(f, s, x, v):
@@ -148,20 +148,57 @@ class TestVector:
             prox_vector(fn, [1], 0.5, np.zeros(2))
 
 
-class TestNumericFallback:
-    def fn_without_kernels(self):
-        # quadratic bowl piece between affine wings: no registered closed form
-        return build_piecewise(
-            [
-                PieceSpec(-math.inf, -1.0, Affine(-1.0, 0.0)),
-                PieceSpec(-1.0, 1.0, Quadratic(1.0, 0.0, 0.0)),
-                PieceSpec(1.0, math.inf, Affine(0.5, 0.5)),
-            ],
-            ["continuous", "continuous"],
-        )
+def linear_wings():
+    # quadratic bowl piece between affine wings: no registered closed form
+    return build_piecewise(
+        [
+            PieceSpec(-math.inf, -1.0, Affine(-1.0, 0.0)),
+            PieceSpec(-1.0, 1.0, Quadratic(1.0, 0.0, 0.0)),
+            PieceSpec(1.0, math.inf, Affine(0.5, 0.5)),
+        ],
+        ["continuous", "continuous"],
+    )
 
-    def test_middle_surrogate_numeric_prox_matches_oracle(self):
-        fn = self.fn_without_kernels()
+
+def constant_limit_wing():
+    # the custom middle piece owns the jump at 0, so its left wing is the
+    # constant limit 1; it does not own the jump at 2, so its right wing is
+    # affine through its own limit
+    return build_piecewise(
+        [
+            PieceSpec(-math.inf, 0.0, Affine(-0.3, 1.0)),
+            PieceSpec(0.0, 2.0, lambda x: 0.5 * x * x),
+            PieceSpec(2.0, math.inf, Constant(1.5)),
+        ],
+        ["right-only", "right-only"],
+    )
+
+
+def capped_pseudo_huber(lam=0.05, b=0.5):
+    """The benchmark's kernel-less penalty: lam (sqrt(1 + x^2) - 1) on
+    [-b, b], constant beyond."""
+    cap = lam * (math.sqrt(1.0 + b * b) - 1.0)
+    return build_piecewise(
+        [
+            PieceSpec(-math.inf, -b, Constant(cap)),
+            PieceSpec(-b, b, lambda x: lam * (np.sqrt(1.0 + x * x) - 1.0)),
+            PieceSpec(b, math.inf, Constant(cap)),
+        ],
+        ["continuous", "continuous"],
+    )
+
+
+class TestNumericFallback:
+    @pytest.fixture(params=[(linear_wings, 0.0, ()), (constant_limit_wing, 1.0, (0.0,))],
+                    ids=["linear-wings", "constant-limit-wing"])
+    def fn_without_kernels(self, request):
+        """A penalty whose middle surrogate has no kernel, with that
+        surrogate's jump bound and jump points for the oracle bracket."""
+        make, jump, jumps = request.param
+        return make(), jump, jumps
+
+    def test_middle_surrogate_numeric_prox_matches_oracle(self, fn_without_kernels):
+        fn, jump, jumps = fn_without_kernels
         f2 = fn.surrogate(2)
         assert f2.kernel is None
         rng = np.random.default_rng(3)
@@ -169,12 +206,12 @@ class TestNumericFallback:
             s = rng.uniform(1e-2, 1.0)
             x = rng.uniform(-4, 4)
             out = prox_surrogate(f2, s, float(x))
-            hw = minimizer_halfwidth(f2.slope_bound(), 0.0, (), s, float(x))
+            hw = minimizer_halfwidth(f2.slope_bound(), jump, jumps, s, float(x))
             ref = prox_oracle(f2, s, float(x), hw, 1e-5)
             assert objective(f2, s, x, out) <= objective(f2, s, x, ref) + 1e-8
 
-    def test_prox_true_matches_oracle(self):
-        fn = self.fn_without_kernels()
+    def test_prox_true_matches_oracle(self, fn_without_kernels):
+        fn, _, _ = fn_without_kernels
         rng = np.random.default_rng(5)
         u = rng.uniform(-4, 4, size=12)
         s = 0.37
@@ -183,24 +220,72 @@ class TestNumericFallback:
             ref = prox_oracle(fn.evaluate, s, float(ui), 3.0, 1e-5)
             assert objective(fn.evaluate, s, ui, out[i]) <= objective(fn.evaluate, s, ui, ref) + 1e-8
 
+    def test_wing_minimizers_are_closed_form(self):
+        # u far left of the constant-limit wing's edge stays put; far right of
+        # the affine wing it moves by s times the wing's slope
+        fn = constant_limit_wing()
+        f2 = fn.surrogate(2)
+        assert (f2.left_case, f2.right_case) == ("constant-limit", "limit-linear")
+        s = 0.25
+        out = prox_vector(fn, [2, 2], s, np.array([-3.0, 5.0]))
+        assert out[0] == -3.0
+        assert out[1] == 5.0 - s * f2.right_slope
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("big", [1e155, 1e200, -1e160])
+    def test_huge_inputs_are_not_errors(self, big):
+        # the objective of some candidates overflows to +inf, which only
+        # loses the comparison; these are the values of the scalar search
+        fn = capped_pseudo_huber()
+        u = np.array([0.0, big])
+        expect = [-1.2110070516682412e-13, big]
+        assert prox_vector(fn, [2, 2], 0.5, u).tolist() == expect
+        assert prox_true(fn, 0.5, u).tolist() == expect
+        assert [prox_surrogate(fn.surrogate(2), 0.5, x) for x in u] == expect
+
+    def test_nan_objective_names_the_coordinate(self):
+        fn = capped_pseudo_huber()
+        with pytest.raises(ProxError, match="coordinate 2: NaN"):
+            prox_vector(fn, [1, 2, 2], 0.5, np.array([math.nan, 0.0, math.nan]))
+        with pytest.raises(ProxError, match="coordinate 0: NaN"):
+            prox_surrogate(fn.surrogate(2), 0.5, math.nan)
+
+    def test_lockstep_search_equals_one_bracket_at_a_time(self):
+        # brackets from a point to 1e3 wide: each must stop on its own width
+        rng = np.random.default_rng(17)
+        widths = np.array([0.0, 1e-13, 1e-12, 3e-12, 1e-9, 1e-3, 0.5, 2.0, 40.0, 1e3])
+        lo = rng.uniform(-5.0, 5.0, size=widths.size)
+        hi = lo + widths
+        u = rng.uniform(-5.0, 5.0, size=widths.size)
+
+        def psi_for(u):
+            return lambda v: (v - u) ** 2 / 0.6 + np.sqrt(1.0 + v * v) + 0.4 * np.abs(v - 0.2)
+
+        v, fv = _golden_min(psi_for(u), lo, hi)
+        for i in range(widths.size):
+            vi, fi = _golden_min(psi_for(u[i:i + 1]), lo[i:i + 1], hi[i:i + 1])
+            assert vi.tobytes() == v[i:i + 1].tobytes()
+            assert fi.tobytes() == fv[i:i + 1].tobytes()
+
 
 class TestInvariants:
     @pytest.mark.parametrize("factory,m", [
-        (lambda: capped_l1(0.2, 1.0), 2),
-        (lambda: capped_l1(0.2, 1.0), 1),
-        (lambda: indicator_penalty(0.7, 0.3), 2),
-        (lambda: l0_penalty(0.5), 2),
+        # each factory returns the penalty and the oracle bracket of its
+        # surrogate m: slope bound, jump bound and jump points
+        (lambda: (capped_l1(0.2, 1.0), 0.2, 0.0, ()), 2),
+        (lambda: (capped_l1(0.2, 1.0), 0.0, 0.0, ()), 1),
+        (lambda: (indicator_penalty(0.7, 0.3), 0.0, 0.7, (0.3,)), 2),
+        (lambda: (l0_penalty(0.5), 0.0, 0.5, (0.0,)), 2),
     ])
     def test_closed_form_never_loses_to_oracle(self, factory, m):
         # light version of the acceptance suite: 100 draws at 1e-4 resolution
-        fn = factory()
+        fn, slope, jump, jumps = factory()
         sur = fn.surrogate(m)
-        jumps = tuple(sur.breakpoints()) if sur.jump_bound() > 0 else ()
         rng = np.random.default_rng(hash((m, fn.n_pieces)) % 2**32)
         for _ in range(100):
             s = rng.uniform(1e-3, 1.0)
             x = rng.uniform(-10.0, 10.0)
-            hw = minimizer_halfwidth(sur.slope_bound(), sur.jump_bound(), jumps, s, x)
+            hw = minimizer_halfwidth(slope, jump, jumps, s, x)
             closed = prox_surrogate(sur, s, float(x))
             ref = prox_oracle(sur, s, float(x), hw, 1e-4)
             assert objective(sur, s, x, closed) <= objective(sur, s, x, ref) + 1e-8
