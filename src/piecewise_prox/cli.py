@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = ["main", "build_parser"]
 
-_PENALTY_FLAGS = ("lam", "b", "tau", "beta")
-
 
 class _UsageError(Exception):
     pass

@@ -2,8 +2,15 @@
 
 A penalty is modeled as an ordered list of convex pieces tiling the real line.
 Every interior breakpoint carries a one-sided continuity tag that decides which
-piece owns the point.  Membership is single valued: ``build_piecewise`` rejects
-tags under which two pieces claim one breakpoint.  From the piece metadata
+piece owns the point: ``continuous`` and ``left-only`` the piece on its left,
+``right-only`` the piece on its right, ``isolated`` the single-point piece
+beside it.  ``build_piecewise`` decodes each tag once into an ``Endpoint``
+record that names its owner; membership, the surrogates and ``C``/``J`` read
+these records.  Membership is single valued: ``build_piecewise`` rejects
+tags under which two pieces claim one breakpoint.  PPGD's NCE step judges a
+crossing by the record it crosses: the one closing the old piece on that
+side, toward the new point when the old piece is a single point, whose two
+records may carry different tags.  From the piece metadata
 the model derives the structural constants used by the solvers and step-size
 certificates:
 
@@ -232,15 +239,17 @@ _SHAPE_TAGS = {"constant": Constant, "affine": Affine, "scaled-abs": ScaledAbs, 
 
 @dataclass(frozen=True)
 class Endpoint:
-    """Interior breakpoint with its one-sided continuity tag.
+    """Interior breakpoint with its one-sided continuity tag and owner.
 
     ``continuous`` and ``left-only`` assign the point to the piece on its
     left, ``right-only`` to the piece on its right, and ``isolated`` marks a
-    value owned by a single-point piece.
+    value owned by a single-point piece.  ``owner`` is that piece's 1-based
+    index; ``build_piecewise`` decodes it from the tag once.
     """
 
     value: float
     continuity: str
+    owner: int
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -366,12 +375,10 @@ class SurrogateFn:
     m: int  # 1-based source piece index
     left_case: str
     right_case: str
-    # linear extension "value + slope * (x - anchor)"; constant branch stores
-    # the constant in value with slope 0.
-    left_anchor: float = math.nan
+    # linear extension "value + slope * (x - edge)" past the piece's own edge;
+    # the constant branch stores the constant in value with slope 0.
     left_value: float = math.nan
     left_slope: float = 0.0
-    right_anchor: float = math.nan
     right_value: float = math.nan
     right_slope: float = 0.0
     kernel: Optional[ProxKernel] = None
@@ -385,19 +392,21 @@ class SurrogateFn:
         return CASE_CONSTANT_LIMIT not in (self.left_case, self.right_case)
 
     def __call__(self, x):
+        """Surrogate value at x; the piece's shape runs on its closure only."""
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         p = self.piece
-        out = np.asarray(p.shape(arr), dtype=float).copy()
-        if self.left_case != CASE_NONE:
-            mask = arr < p.left
-            if mask.any():
-                out[mask] = self.left_value + self.left_slope * (arr[mask] - self.left_anchor)
-        if self.right_case != CASE_NONE:
-            mask = arr > p.right
-            if mask.any():
-                out[mask] = self.right_value + self.right_slope * (arr[mask] - self.right_anchor)
+        # the common case, every point on the closure; a NaN fails both tests
+        if arr.min(initial=math.inf) >= p.left and arr.max(initial=-math.inf) <= p.right:
+            out = np.asarray(p.shape(arr), dtype=float)
+        else:
+            below, above = arr < p.left, arr > p.right
+            inside = ~(below | above)
+            out = np.empty_like(arr)
+            out[inside] = p.shape(arr[inside])
+            out[below] = self.left_value + self.left_slope * (arr[below] - p.left)
+            out[above] = self.right_value + self.right_slope * (arr[above] - p.right)
         return float(out[0]) if scalar else out
 
     def slope_bound(self) -> float:
@@ -429,11 +438,11 @@ class PiecewiseFn:
     _lo: np.ndarray = field(repr=False, default=None)
     _hi: np.ndarray = field(repr=False, default=None)
     # membership tables: the distinct breakpoint values padded with +inf, the
-    # piece owning each value, the piece covering the open gap below it and
-    # whether the penalty is continuous at each value
+    # piece owning each value and the piece covering the open gap below it
     _cuts: np.ndarray = field(repr=False, default=None)
     _at: np.ndarray = field(repr=False, default=None)
     _gap: np.ndarray = field(repr=False, default=None)
+    # whether each endpoint record is tagged continuous
     _continuous: np.ndarray = field(repr=False, default=None)
     _builtin: Optional[tuple] = field(repr=False, default=None)
 
@@ -502,39 +511,23 @@ class PiecewiseFn:
 
 
 def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
-    pieces = fn.pieces
-    p = pieces[m - 1]
+    p = fn.pieces[m - 1]
     kw = dict(left_case=CASE_NONE, right_case=CASE_NONE)
-
-    # Right side: breakpoint between piece m and m+1 is endpoint record m-1.
-    if math.isfinite(p.right):
-        e = fn.endpoints[m - 1]
-        q = p.right
-        if e.continuity == CONTINUOUS:
-            kw.update(right_case=CASE_CONTINUOUS_LINEAR, right_anchor=q,
-                      right_value=p.value_right, right_slope=p.right_slope)
-        elif fn.piece_index(q) != m:
-            # piece m does not own q: extend its own limit linearly
-            kw.update(right_case=CASE_LIMIT_LINEAR, right_anchor=q,
-                      right_value=p.value_right, right_slope=p.right_slope)
-        else:
-            # piece m owns a discontinuous q: constant far-side limit
-            kw.update(right_case=CASE_CONSTANT_LIMIT, right_anchor=q,
-                      right_value=pieces[m].value_left, right_slope=0.0)
-
-    # Left side: breakpoint between piece m-1 and m is endpoint record m-2.
-    if math.isfinite(p.left):
-        e = fn.endpoints[m - 2]
-        q = p.left
-        if e.continuity == CONTINUOUS:
-            kw.update(left_case=CASE_CONTINUOUS_LINEAR, left_anchor=q,
-                      left_value=p.value_left, left_slope=p.left_slope)
-        elif fn.piece_index(q) != m:
-            kw.update(left_case=CASE_LIMIT_LINEAR, left_anchor=q,
-                      left_value=p.value_left, left_slope=p.left_slope)
-        else:
-            kw.update(left_case=CASE_CONSTANT_LIMIT, left_anchor=q,
-                      left_value=pieces[m - 2].value_right, left_slope=0.0)
+    # endpoint record m-2 closes piece m on the left and record m-1 on the
+    # right; the far-side limit is the neighbour's value at its near end
+    for side, j, edge, value, slope in (("left", m - 2, p.left, p.value_left, p.left_slope),
+                                        ("right", m - 1, p.right, p.value_right, p.right_slope)):
+        if not math.isfinite(edge):
+            continue
+        e = fn.endpoints[j]
+        if e.is_continuous:
+            case = CASE_CONTINUOUS_LINEAR
+        elif e.owner != m:  # piece m does not own q: extend its own limit linearly
+            case = CASE_LIMIT_LINEAR
+        else:  # piece m owns a discontinuous q: constant far-side limit
+            far = fn.pieces[j].value_right if side == "left" else fn.pieces[m].value_left
+            case, value, slope = CASE_CONSTANT_LIMIT, far, 0.0
+        kw.update({f"{side}_case": case, f"{side}_value": value, f"{side}_slope": slope})
 
     sur = SurrogateFn(source=fn, m=m, **kw)
     kernel = _detect_kernel(sur)
@@ -629,90 +622,71 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str],
             )
         _probe_convexity(p)
 
-    endpoints = []
-    for j in range(M - 1):
-        q = pieces[j].right
-        tag = continuity[j]
-        endpoints.append(Endpoint(q, tag))
+    endpoints, drops, jumps = [], [], []
+    for a, b, tag in zip(pieces, pieces[1:], continuity):
+        q, lim_a, lim_b = a.right, a.value_right, b.value_left
+        owner = {CONTINUOUS: a, LEFT_ONLY: a, RIGHT_ONLY: b}.get(tag, a if a.is_point else b)
+        endpoints.append(Endpoint(q, tag, owner.index))  # rejects an unknown tag
+        # the owner's limit at q and the limit from the other side
+        own, far = (lim_a, lim_b) if owner is a else (lim_b, lim_a)
+        tol = _MATCH_TOL * max(1.0, abs(lim_a), abs(lim_b))
+        if tag == ISOLATED:
+            if not (a.is_point or b.is_point):
+                raise PiecewiseBuildError(
+                    f"endpoint {q}: 'isolated' is only valid beside a single-point piece"
+                )
+            if own >= far - tol:
+                raise PiecewiseBuildError(
+                    f"endpoint {q}: isolated value must sit strictly below both limits"
+                )
+            jumps.append(abs(far - own))
+        elif tag == CONTINUOUS:
+            if abs(own - far) > tol:
+                raise PiecewiseBuildError(
+                    f"endpoint {q}: declared continuous but one-sided limits differ"
+                )
+            drop = a.right_slope - b.left_slope
+            if drop <= 0:
+                raise PiecewiseBuildError(
+                    f"endpoint {q}: slope drop {drop:g} is not positive at a continuous endpoint"
+                )
+            drops.append(drop)
+        else:  # one-sided continuity: there must be an actual jump, lsc must hold
+            if abs(own - far) <= tol:
+                raise PiecewiseBuildError(
+                    f"endpoint {q}: declared discontinuous but one-sided limits agree"
+                )
+            if own > far + tol:
+                sides = ("left", "right") if owner is a else ("right", "left")
+                raise PiecewiseBuildError(
+                    f"endpoint {q}: {sides[0]}-continuous value above the {sides[1]} limit "
+                    "breaks lower semicontinuity"
+                )
+            jumps.append(abs(far - own))
     endpoints = tuple(endpoints)
 
-    _validate_tags(pieces, endpoints)
-    cuts, at, gap, continuous = _membership(pieces, endpoints)
-    C, J, F0, R0, s0 = _structural_constants(pieces, endpoints)
-
+    cuts, at, gap = _membership(pieces, endpoints)
+    F0, R0, s0 = _structural_constants(pieces, endpoints)
     if M > 1 and not math.isfinite(F0):
         raise PiecewiseBuildError(
             "unbounded subgradient: a piece has infinite slope growth; "
             "no finite F0 exists for a multi-piece penalty"
         )
+    C = min(drops) if drops else math.inf
+    J = min(jumps) if jumps else math.inf
     lo = np.array([p.left for p in pieces])
     hi = np.array([p.right for p in pieces])
+    continuous = np.array([e.is_continuous for e in endpoints], dtype=bool)
     return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0,
                        lo, hi, cuts, at, gap, continuous, builtin)
 
 
-def _validate_tags(pieces, endpoints) -> None:
-    for j, e in enumerate(endpoints):
-        left_p, right_p = pieces[j], pieces[j + 1]
-        lim_left = left_p.value_right
-        lim_right = right_p.value_left
-        point_adjacent = left_p.is_point or right_p.is_point
-        scale = max(1.0, abs(lim_left), abs(lim_right))
-        if e.continuity == ISOLATED:
-            if not point_adjacent:
-                raise PiecewiseBuildError(
-                    f"endpoint {e.value}: 'isolated' is only valid beside a single-point piece"
-                )
-            point = left_p if left_p.is_point else right_p
-            other_lim = lim_right if left_p.is_point else lim_left
-            if point.value_left >= other_lim - _MATCH_TOL * scale:
-                raise PiecewiseBuildError(
-                    f"endpoint {e.value}: isolated value must sit strictly below both limits"
-                )
-            continue
-        if e.continuity == CONTINUOUS:
-            if abs(lim_left - lim_right) > _MATCH_TOL * scale:
-                raise PiecewiseBuildError(
-                    f"endpoint {e.value}: declared continuous but one-sided limits differ"
-                )
-            gap = left_p.right_slope - right_p.left_slope
-            if gap <= 0:
-                raise PiecewiseBuildError(
-                    f"endpoint {e.value}: slope drop {gap:g} is not positive at a continuous endpoint"
-                )
-            continue
-        # one-sided continuity: there must be an actual jump, lsc must hold
-        if abs(lim_left - lim_right) <= _MATCH_TOL * scale:
-            raise PiecewiseBuildError(
-                f"endpoint {e.value}: declared discontinuous but one-sided limits agree"
-            )
-        if e.continuity == LEFT_ONLY and lim_left > lim_right + _MATCH_TOL * scale:
-            raise PiecewiseBuildError(
-                f"endpoint {e.value}: left-continuous value above the right limit breaks lower semicontinuity"
-            )
-        if e.continuity == RIGHT_ONLY and lim_right > lim_left + _MATCH_TOL * scale:
-            raise PiecewiseBuildError(
-                f"endpoint {e.value}: right-continuous value above the left limit breaks lower semicontinuity"
-            )
-
-
 def _membership(pieces, endpoints):
-    """The membership tables (see PiecewiseFn); the continuity tags decide
-    which piece owns each breakpoint, and only one piece may own it.  At a
-    value shared by the two endpoints of a single-point piece, continuity is
-    read from the first endpoint's tag."""
+    """The membership tables (see PiecewiseFn) from the endpoints' owners;
+    only one piece may own a breakpoint value."""
     owners: dict[float, set] = {}
-    continuous: dict[float, bool] = {}
-    for j, e in enumerate(endpoints):
-        continuous.setdefault(e.value, e.is_continuous)
-        left_p, right_p = pieces[j], pieces[j + 1]
-        if e.continuity in (CONTINUOUS, LEFT_ONLY):
-            owner = left_p
-        elif e.continuity == RIGHT_ONLY:
-            owner = right_p
-        else:  # isolated: the point piece owns the value
-            owner = left_p if left_p.is_point else right_p
-        owners.setdefault(e.value, set()).add(owner.index)
+    for e in endpoints:
+        owners.setdefault(e.value, set()).add(e.owner)
     for q, claims in owners.items():
         if len(claims) > 1:
             raise PiecewiseBuildError(
@@ -722,28 +696,11 @@ def _membership(pieces, endpoints):
     at = [min(owners[q]) for q in cuts] + [0]
     gap = [p.index for p in pieces if not p.is_point]
     return (np.array(cuts + [math.inf]), np.array(at, dtype=np.int64),
-            np.array(gap, dtype=np.int64), np.array([continuous[q] for q in cuts] + [False]))
+            np.array(gap, dtype=np.int64))
 
 
 def _structural_constants(pieces, endpoints):
-    gaps, jumps = [], []
-    for j, e in enumerate(endpoints):
-        left_p, right_p = pieces[j], pieces[j + 1]
-        lim_left, lim_right = left_p.value_right, right_p.value_left
-        if e.continuity == CONTINUOUS:
-            gaps.append(left_p.right_slope - right_p.left_slope)
-        elif e.continuity == LEFT_ONLY:
-            jumps.append(abs(lim_right - lim_left))  # f(q) = left limit
-        elif e.continuity == RIGHT_ONLY:
-            jumps.append(abs(lim_left - lim_right))  # f(q) = right limit
-        else:  # isolated: both one-sided jumps relative to the point value
-            point = left_p if left_p.is_point else right_p
-            fq = point.value_left
-            other = lim_right if left_p.is_point else lim_left
-            jumps.append(abs(other - fq))
-    C = min(gaps) if gaps else math.inf
-    J = min(jumps) if jumps else math.inf
-
+    """(F0, R0, s0); C and J come from the breakpoint decode."""
     F0 = 0.0
     for p in pieces:
         F0 = max(F0, p.slope_bound())
@@ -758,7 +715,7 @@ def _structural_constants(pieces, endpoints):
             for k in p.kinks:
                 if k != q:
                     s0 = min(s0, abs(k - q))
-    return C, J, F0, R0, s0
+    return F0, R0, s0
 
 
 # ---------------------------------------------------------------------------

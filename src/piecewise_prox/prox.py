@@ -8,8 +8,9 @@ piece present.  ``prox_true`` is the exact prox of the full penalty.  All of
 them break ties with the library rule (``_pick_columns``), and every
 golden-section search runs on all of its brackets at once (``_golden_min``).
 ``prox_oracle`` is an independent ground-truth used by tests: a dense grid
-argmin refined by one golden-section pass per local basin.  The two routes are
-kept separate so each can check the other.
+argmin refined by one golden-section pass per local basin, with its own scalar
+search (``_golden_scalar``).  The two routes are kept separate so each can
+check the other.
 """
 
 from __future__ import annotations
@@ -218,13 +219,43 @@ def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
         if vals[k] < best[1]:
             best = (float(v[k]), float(vals[k]))
         start = stop
-    psi = _objective(lambda v: np.asarray(f(v), dtype=float), s, x)
+
+    def psi(v):  # squared by a product, which rounds alike on floats and arrays
+        return (v - x) * (v - x) / (2.0 * s) + np.asarray(f(v), dtype=float)
+
     ends = np.array([lo, hi])
     candidates = [*zip(ends, psi(ends)), best]
-    if brackets:
-        a, b = np.array(brackets).T
-        candidates += zip(*_golden_min(psi, a, b, tol=1e-10))
+    candidates += [_golden_scalar(psi, a, b, tol=1e-10) for a, b in brackets]
     return _pick(candidates)
+
+
+def _golden_scalar(psi: Callable, lo: float, hi: float, tol: float, iters: int = 200):
+    """The oracle's golden-section search on one bracket, written apart from
+    ``_golden_min`` with the same update, ``tol`` and cap, so that each
+    checks the other.  Returns (argmin, value) among its samples and ends.
+    """
+    a, b = lo, hi
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = psi(c), psi(d)
+    best_v, best_f = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(iters):
+        if not abs(b - a) > tol:
+            break
+        if fc <= fd:  # keep [a, d]: c becomes d, a new c is sampled
+            b, d, fd = d, c, fc
+            c = v = b - _GOLDEN * (b - a)
+            fc = fv = psi(v)
+        else:  # keep [c, b]: d becomes c, a new d is sampled
+            a, c, fc = c, d, fd
+            d = v = a + _GOLDEN * (b - a)
+            fd = fv = psi(v)
+        if fv < best_f:
+            best_v, best_f = v, fv
+    for end in (lo, hi):
+        fe = psi(end)
+        if fe < best_f:
+            best_v, best_f = end, fe
+    return best_v, best_f
 
 
 def prox_vector(fn: PiecewiseFn, assignment, s: float, u: np.ndarray) -> np.ndarray:

@@ -210,11 +210,13 @@ def _nce_group(fn: PiecewiseFn, z, w, w0: float, assign_x, assign_z) -> bool:
     ``assign_x`` onto ``assign_z`` satisfies an NCE acceptance condition.
 
     Each crossing is judged at the endpoint q of its old piece that lies
-    between w and z, the one closer to w if both do.
+    between w and z, the one closer to w if both do, by the endpoint record
+    on that side of the old piece: toward z when the old piece is a single
+    point.
     """
     cross = np.flatnonzero(assign_z != assign_x)
-    wc, zc = w[cross], z[cross]
-    lo, hi = fn._lo[assign_x[cross] - 1], fn._hi[assign_x[cross] - 1]
+    wc, zc, m = w[cross], z[cross], assign_x[cross]
+    lo, hi = fn._lo[m - 1], fn._hi[m - 1]
     seg_lo, seg_hi = np.minimum(wc, zc), np.maximum(wc, zc)
     lo_in = np.isfinite(lo) & (seg_lo <= lo) & (lo <= seg_hi)
     hi_in = np.isfinite(hi) & (seg_lo <= hi) & (hi <= seg_hi)
@@ -222,11 +224,14 @@ def _nce_group(fn: PiecewiseFn, z, w, w0: float, assign_x, assign_z) -> bool:
     if missing.size:
         i = missing[0]
         raise SolverError(
-            f"no endpoint of piece {int(assign_x[cross[i]])} lies between "
+            f"no endpoint of piece {int(m[i])} lies between "
             f"w={float(wc[i])!r} and z={float(zc[i])!r}; piece metadata is inconsistent"
         )
-    q = np.where(lo_in & ~(hi_in & (np.abs(hi - wc) < np.abs(lo - wc))), lo, hi)
-    continuous = fn._continuous[np.searchsorted(fn._cuts, q)]
+    at_lo = lo_in & ~(hi_in & (np.abs(hi - wc) < np.abs(lo - wc)))
+    q = np.where(at_lo, lo, hi)
+    # piece m is closed by endpoint record m-2 on the left and m-1 on the right
+    left = np.where(lo == hi, zc < q, at_lo)
+    continuous = fn._continuous[np.where(left, m - 2, m - 1)]
     return bool(np.any(~continuous | (np.abs(zc - q) >= w0 * np.abs(zc - wc))))
 
 
@@ -234,7 +239,8 @@ def nce(x_k, z_k1, w_k, w0: float, fn: PiecewiseFn) -> np.ndarray:
     """Negative-curvature-exploitation step for a shared penalty.
 
     If z sits on the same pieces as x it is accepted outright.  Otherwise each
-    crossing coordinate is inspected: a continuous endpoint accepts only when
+    crossing coordinate is inspected at the endpoint record it crosses (see
+    ``_nce_group``): a continuous endpoint accepts only when
     the overshoot past the endpoint is at least the w0 fraction of the step
     (d_{i,1} >= w0 d_{i,0}); a discontinuous endpoint always accepts.  An
     accepted z is returned as it is: a coordinate that crosses onto a

@@ -195,30 +195,33 @@ class TestBuild:
             )
 
 
+def tag_owner(fn, j):
+    """The piece that the tag of endpoint record j names: the left piece for
+    ``continuous`` and ``left-only``, the right piece for ``right-only``, the
+    single-point piece for ``isolated``."""
+    e, left, right = fn.endpoints[j], fn.pieces[j], fn.pieces[j + 1]
+    if e.continuity in ("continuous", "left-only"):
+        return left.index
+    if e.continuity == "right-only":
+        return right.index
+    return left.index if left.is_point else right.index
+
+
 def closure_claims(fn, x):
     """Pieces claiming each x by the interval-closure definition.
 
     A piece holds its open interior, and each breakpoint belongs to the piece
-    its continuity tag names: the left piece for ``continuous`` and
-    ``left-only``, the right piece for ``right-only``, the single-point piece
-    for ``isolated``.  Returns (number of claiming pieces, last claiming piece).
+    its continuity tag names (``tag_owner``).  Returns (number of claiming
+    pieces, last claiming piece).
     """
-    def owner(j):
-        e, left, right = fn.endpoints[j], fn.pieces[j], fn.pieces[j + 1]
-        if e.continuity in ("continuous", "left-only"):
-            return left.index
-        if e.continuity == "right-only":
-            return right.index
-        return left.index if left.is_point else right.index
-
     x = np.asarray(x, dtype=float)
     count = np.zeros(x.shape, dtype=np.int64)
     index = np.zeros(x.shape, dtype=np.int64)
     for p in fn.pieces:
         claims = (x > p.left) & (x < p.right)
-        if p.index > 1 and owner(p.index - 2) == p.index:
+        if p.index > 1 and tag_owner(fn, p.index - 2) == p.index:
             claims |= x == p.left
-        if p.index < fn.n_pieces and owner(p.index - 1) == p.index:
+        if p.index < fn.n_pieces and tag_owner(fn, p.index - 1) == p.index:
             claims |= x == p.right
         count += claims
         index[claims] = p.index
@@ -254,6 +257,7 @@ class TestMembership:
     ])
     def test_tiling(self, fn_factory):
         fn = fn_factory()
+        assert [e.owner for e in fn.endpoints] == [tag_owner(fn, j) for j in range(fn.n_pieces - 1)]
         rng = np.random.default_rng(0)
         pts = [rng.uniform(-10, 10, size=10_000)]
         for e in fn.endpoints:

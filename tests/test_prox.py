@@ -21,7 +21,7 @@ from piecewise_prox import (
 )
 from piecewise_prox.kernels import tie_break
 from piecewise_prox.piecewise import Affine, Constant
-from piecewise_prox.prox import _golden_min, _pick, _pick_columns
+from piecewise_prox.prox import _golden_min, _golden_scalar, _pick, _pick_columns
 
 
 def objective(f, s, x, v):
@@ -100,6 +100,22 @@ class TestOracle:
                 pytest.raises(ProxError, match="non-finite"):
             prox_oracle(lambda v: np.log(np.asarray(v)), 1.0, 0.5, 2.0, 1e-3)
 
+    def test_scalar_search_equals_lockstep_search(self):
+        # the oracle's own search must take the samples _golden_min takes
+        rng = np.random.default_rng(23)
+        lo = rng.uniform(-5.0, 5.0, size=200)
+        hi = lo + np.where(rng.random(200) < 0.05, 0.0, 10.0 ** rng.uniform(-13.0, 3.0, 200))
+        u = rng.uniform(-5.0, 5.0, size=200)
+
+        def psi_for(u):
+            return lambda v: (v - u) * (v - u) / 0.6 + np.sqrt(1.0 + v * v) + 0.4 * np.abs(v - 0.2)
+
+        for tol in (1e-12, 1e-10):
+            v, fv = _golden_min(psi_for(u), lo, hi, tol=tol)
+            for i in range(lo.size):
+                vi, fi = _golden_scalar(psi_for(float(u[i])), float(lo[i]), float(hi[i]), tol)
+                assert np.array([vi, fi]).tobytes() == np.array([v[i], fv[i]]).tobytes()
+
     def test_halfwidth_is_sound(self):
         # the bracket bound must contain the closed-form minimizer
         rng = np.random.default_rng(11)
@@ -174,14 +190,21 @@ def constant_limit_wing():
     )
 
 
-def capped_pseudo_huber(lam=0.05, b=0.5):
+def capped_pseudo_huber(lam=0.05, b=0.5, seen=None):
     """The benchmark's kernel-less penalty: lam (sqrt(1 + x^2) - 1) on
-    [-b, b], constant beyond."""
+    [-b, b], constant beyond.  Each input of the middle shape is appended to
+    ``seen`` when it is a list."""
     cap = lam * (math.sqrt(1.0 + b * b) - 1.0)
+
+    def shape(x):
+        if seen is not None:
+            seen.append(np.array(x, dtype=float))
+        return lam * (np.sqrt(1.0 + x * x) - 1.0)
+
     return build_piecewise(
         [
             PieceSpec(-math.inf, -b, Constant(cap)),
-            PieceSpec(-b, b, lambda x: lam * (np.sqrt(1.0 + x * x) - 1.0)),
+            PieceSpec(-b, b, shape),
             PieceSpec(b, math.inf, Constant(cap)),
         ],
         ["continuous", "continuous"],
@@ -242,6 +265,19 @@ class TestNumericFallback:
         assert prox_vector(fn, [2, 2], 0.5, u).tolist() == expect
         assert prox_true(fn, 0.5, u).tolist() == expect
         assert [prox_surrogate(fn.surrogate(2), 0.5, x) for x in u] == expect
+
+    def test_shape_runs_on_its_closure_only(self):
+        seen = []
+        fn = capped_pseudo_huber(b=0.5, seen=seen)
+        sur = fn.surrogate(2)
+        seen.clear()
+        wing = np.array([-1e200, -2.0, -0.5, 0.0, 0.5, np.nextafter(0.5, 1.0), 2.0, 1e200])
+        with np.errstate(over="ignore"):
+            sur(wing)
+            [sur(float(x)) for x in wing]
+            prox_vector(fn, [2, 2], 0.5, np.array([0.0, 1e200]))
+        inputs = np.concatenate([x.ravel() for x in seen])
+        assert inputs.size and np.abs(inputs).max() <= 0.5
 
     def test_nan_objective_names_the_coordinate(self):
         fn = capped_pseudo_huber()

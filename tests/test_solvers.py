@@ -145,6 +145,22 @@ class TestNce:
         out = nce(np.array([0.9]), np.array([1.5]), np.array([1.0]), 1.0, fn)
         assert out[0] == 1.5
 
+    def test_point_piece_judged_by_the_record_it_crosses(self):
+        # pieces 1 / {0}: 0 / -x; from the right piece onto the point the
+        # penalty is continuous, so d1 = 0 < w0 d0 rejects
+        fn = _nce_penalty("point right-only/continuous", 0.0, 0.0, 0.0, 0.0)
+        out = nce(np.array([0.5]), np.array([0.0]), np.array([0.5]), 0.5, fn)
+        assert out.tolist() == [0.5]
+        # from the left piece the tag is right-only: a jump, always accepted
+        out = nce(np.array([-0.5]), np.array([0.0]), np.array([-0.5]), 0.5, fn)
+        assert out.tolist() == [0.0]
+        # off the point, the record toward z judges: continuous on the right
+        # (d1 = 0.2 < 0.5 * 0.7 rejects), right-only on the left
+        out = nce(np.array([0.0]), np.array([0.2]), np.array([-0.5]), 0.5, fn)
+        assert out.tolist() == [0.0]
+        out = nce(np.array([0.0]), np.array([-0.2]), np.array([0.5]), 0.5, fn)
+        assert out.tolist() == [-0.2]
+
     def test_inconsistent_metadata_raises(self):
         fn = capped_l1(0.2, 1.0)
         with pytest.raises(SolverError, match="no endpoint"):
@@ -214,7 +230,8 @@ def _nce_penalty(kind, lam, b, tau, beta_frac):
 def _scalar_nce_flag(fn, z, w, w0, assign_x, assign_z):
     """The NCE accept flag, one crossing coordinate at a time: the endpoint q
     of the old piece inside [w, z], the one nearer w if both are, judged by
-    the tag of the first endpoint record at q."""
+    the tag of the endpoint record on q's side of the old piece, the side
+    toward z when the old piece is a single point."""
     flag = False
     for i in np.flatnonzero(assign_z != assign_x):
         m, w_i, z_i = int(assign_x[i]), float(w[i]), float(z[i])
@@ -227,7 +244,8 @@ def _scalar_nce_flag(fn, z, w, w0, assign_x, assign_z):
                 "piece metadata is inconsistent"
             )
         q = min(cands, key=lambda q: abs(q - w_i))
-        record = next(e for e in fn.endpoints if e.value == q)
+        on_left = z_i < q if lo == hi else q == lo
+        record = fn.endpoints[m - 2 if on_left else m - 1]
         if not record.is_continuous or abs(z_i - q) >= w0 * abs(z_i - w_i):
             flag = True
     return flag
