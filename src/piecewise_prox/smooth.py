@@ -64,6 +64,11 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
+def _log1pexp(t: np.ndarray) -> np.ndarray:
+    # log(1 + exp(t)) without overflow: exp only ever sees -|t|
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
 @dataclass(frozen=True, eq=False)
 class SmoothLoss:
     """Smooth convex loss with a certified gradient Lipschitz bound.
@@ -71,8 +76,14 @@ class SmoothLoss:
     kind ``least-squares``: g(x) = ||y - D x||^2, grad = 2 D^T (D x - y),
     L = 2 sigma_max(D)^2.  kind ``logistic``: g(x) = mean log(1 + exp(-y a^T x)),
     grad = -mean y sigmoid(-y a^T x) a, L = sigma_max(A)^2 / (4 n).  Logistic
-    values use log1p/exp in its overflow-safe logaddexp form, which switches to
-    the asymptotic linear branch for large margins.
+    values take log(1 + exp(-m)) of each margin m as
+    max(-m, 0) + log1p(exp(-|m|)), which never overflows and is the
+    asymptotic linear branch -m for large negative margins.
+
+    ``value`` and ``gradient`` read the data only through the product X @ x
+    (X the feature matrix).  A caller that already holds it passes it as
+    ``Xx`` and the product is not taken again; the result is the same as
+    without it when ``Xx`` equals ``X @ x`` bit for bit.
     """
 
     kind: str
@@ -89,21 +100,30 @@ class SmoothLoss:
             raise ValueError(f"x has shape {x.shape}, expected ({self.data.d},)")
         return x
 
-    def value(self, x) -> float:
+    def _product(self, x, Xx) -> np.ndarray:
         x = self._check(x)
-        X, y = self.data.features, self.data.labels
-        if self.kind == "least-squares":
-            r = y - X @ x
-            return float(r @ r)
-        margins = y * (X @ x)
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+        if Xx is None:
+            return self.data.features @ x
+        Xx = np.asarray(Xx, dtype=float)
+        if Xx.shape != (self.data.n,):
+            raise ValueError(f"Xx has shape {Xx.shape}, expected ({self.data.n},)")
+        return Xx
 
-    def gradient(self, x) -> np.ndarray:
-        x = self._check(x)
+    def value(self, x, Xx=None) -> float:
+        Xx = self._product(x, Xx)
+        y = self.data.labels
+        if self.kind == "least-squares":
+            r = y - Xx
+            return float(r @ r)
+        margins = y * Xx
+        return float(np.mean(_log1pexp(-margins)))
+
+    def gradient(self, x, Xx=None) -> np.ndarray:
+        Xx = self._product(x, Xx)
         X, y = self.data.features, self.data.labels
         if self.kind == "least-squares":
-            return 2.0 * (X.T @ (X @ x - y))
-        margins = y * (X @ x)
+            return 2.0 * (X.T @ (Xx - y))
+        margins = y * Xx
         w = -y * _sigmoid(-margins) / self.data.n
         return X.T @ w
 

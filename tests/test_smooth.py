@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from piecewise_prox import Dataset, least_squares, logistic_loss, spectral_norm
+from piecewise_prox import Dataset, least_squares, logistic_loss, smooth, spectral_norm
 
 
 def finite_diff_gradient(loss, x, h=1e-5):
@@ -64,6 +64,48 @@ class TestValues:
         assert big == pytest.approx(1000.0, rel=1e-12)  # asymptotic linear branch
         assert loss.value(np.array([1000.0])) == pytest.approx(0.0, abs=1e-300)
         assert np.isfinite(loss.gradient(np.array([-1000.0]))).all()
+
+
+class TestProducts:
+    @pytest.mark.parametrize("kind", ["least-squares", "logistic"])
+    def test_given_product_gives_the_same_bytes(self, kind):
+        rng = np.random.default_rng(21)
+        n, d = 50, 7
+        X = rng.standard_normal((n, d))
+        if kind == "logistic":
+            loss = logistic_loss(Dataset(X, rng.choice((-1.0, 1.0), size=n)))
+        else:
+            loss = least_squares(Dataset(X, rng.standard_normal(n)))
+        for _ in range(20):
+            x = rng.uniform(-3, 3, size=d)
+            Xx = X @ x
+            assert np.float64(loss.value(x, Xx)).tobytes() == np.float64(loss.value(x)).tobytes()
+            assert loss.gradient(x, Xx).tobytes() == loss.gradient(x).tobytes()
+
+    def test_product_shape_checked(self):
+        loss = least_squares(Dataset(np.ones((2, 3)), np.ones(2)))
+        with pytest.raises(ValueError, match="Xx has shape"):
+            loss.value(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="Xx has shape"):
+            loss.gradient(np.zeros(3), np.zeros(1))
+
+
+class TestLogisticValue:
+    def test_within_4_ulp_of_logaddexp(self):
+        rng = np.random.default_rng(5)
+        t = np.concatenate([rng.standard_normal(40000), 40.0 * rng.standard_normal(40000),
+                            rng.uniform(-800.0, 800.0, 20000)])
+        got = smooth._log1pexp(t)
+        want = np.logaddexp(0.0, t)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, math.inf, -math.inf])
+    def test_extremes_equal_logaddexp_without_overflow(self, x):
+        loss = logistic_loss(Dataset(np.array([[1.0]]), np.array([1.0])))
+        with np.errstate(over="raise", invalid="raise"):
+            got = loss.value(np.array([x]))
+            assert got == float(np.logaddexp(0.0, -x))
+            assert smooth._log1pexp(np.array([x]))[0] == np.logaddexp(0.0, x)
 
 
 class TestGradients:

@@ -189,11 +189,25 @@ class TestNce:
                      q - 2.0, q - 1.0, q + 1.0, q + 2.0]
         values = st.lists(st.one_of(st.sampled_from(pool), st.floats(-1e4, 1e4)),
                           min_size=n, max_size=n)
+        flags = st.lists(st.booleans(), min_size=n, max_size=n)
         x, z, w = (np.array(data.draw(values)) for _ in range(3))
-        assign_x, assign_z = fn.piece_index(x), fn.piece_index(z)
+        assign_x = fn.piece_index(x)
         # mostly w on the closure of x's piece, as the projection hands it over
-        clip = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        clip = np.array(data.draw(flags))
         w = np.where(clip, np.clip(w, fn._lo[assign_x - 1], fn._hi[assign_x - 1]), w)
+        # crossings that leave a single-point piece q with w on the far side of
+        # q and a short overshoot: only the endpoint record toward z decides
+        points = fn._lo[fn._lo == fn._hi]
+        if points.size:
+            leave = np.array(data.draw(flags))
+            q = data.draw(st.sampled_from(points.tolist()))
+            toward = np.where(np.array(data.draw(flags)), 1.0, -1.0)
+            far = data.draw(st.floats(1e-3, 10.0))
+            over = data.draw(st.floats(0.0, 1.0)) * far
+            x = np.where(leave, q, x)
+            z = np.where(leave, q + toward * over, z)
+            w = np.where(leave, q - toward * far, w)
+        assign_x, assign_z = fn.piece_index(x), fn.piece_index(z)
         try:
             expect = _scalar_nce_flag(fn, z, w, w0, assign_x, assign_z)
         except SolverError as exc:
@@ -505,6 +519,79 @@ class TestMixedPenalties:
         assert prob.penalty_value(x) == pytest.approx(expect, abs=1e-12)
         trace = ppgd(prob, np.zeros(3), K=100)
         assert np.all(np.diff(trace.objective) <= 1e-12)
+
+
+def few_moves_problem():
+    """Least squares with d = 1000: coordinates 0-9 carry capped-l1, l0 and
+    indicator penalties, the rest l1, whose single piece the projection
+    never clips.  So ppgd's projection moves at most 10 coordinates, 1% of d,
+    and corrects X @ u on those columns instead of taking X @ w afresh."""
+    rng = np.random.default_rng(0)
+    n, d = 40, 1000
+    D = rng.standard_normal((n, d)) / math.sqrt(n)
+    pens = [capped_l1(0.05, 0.1), l0_penalty(0.02), indicator_penalty(0.02, 0.0)]
+    penalty = [pens[j % 3] for j in range(10)] + [l1_penalty(0.3)] * (d - 10)
+    return Problem(least_squares(Dataset(D, rng.standard_normal(n))), penalty)
+
+
+class _CountedMatrix(np.ndarray):
+    """A feature matrix that counts the products taken with the whole of it
+    (X @ v or X.T @ r), not those with a gather of its columns."""
+
+    full_size = 0
+    full_products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and any(isinstance(a, _CountedMatrix)
+                                      and a.size == _CountedMatrix.full_size for a in inputs):
+            _CountedMatrix.full_products += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, _CountedMatrix) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestLossProducts:
+    def test_products_stay_within_1e_12_of_fresh_ones(self, monkeypatch):
+        prob = few_moves_problem()
+        X = prob.loss.data.features
+        errors = []
+        for name in ("value", "gradient"):
+            method = getattr(type(prob.loss), name)
+
+            def checked(loss, x, Xx=None, _method=method):
+                if Xx is not None:
+                    fresh = X @ x
+                    errors.append(np.max(np.abs(Xx - fresh)) - 1e-12 * np.max(np.abs(fresh)))
+                return _method(loss, x, Xx)
+
+            monkeypatch.setattr(type(prob.loss), name, checked)
+        moved = []
+        shifted = solvers._shifted_product
+
+        def counted(X, pu, u, w):
+            moved.append(int(np.count_nonzero(w != u)))
+            return shifted(X, pu, u, w)
+
+        monkeypatch.setattr(solvers, "_shifted_product", counted)
+        for solver in (ppgd, apg_monotone, pgd):
+            solver(prob, np.zeros(prob.d), K=60)
+        assert 0 < max(moved) <= 10
+        assert len(errors) == 3 * (1 + 2 * 60 + 1)
+        assert max(errors) <= 0.0
+
+    @pytest.mark.parametrize("solver", [ppgd, apg_monotone, pgd])
+    def test_two_full_products_per_iteration(self, monkeypatch, solver):
+        prob = few_moves_problem()
+        data = prob.loss.data
+        monkeypatch.setattr(_CountedMatrix, "full_size", data.features.size)
+        monkeypatch.setattr(_CountedMatrix, "full_products", 0)
+        object.__setattr__(data, "features", data.features.view(_CountedMatrix))
+        K = 60
+        trace = solver(prob, np.zeros(prob.d), K=K)
+        if solver is ppgd:
+            assert trace.n_transitions[-1] > 0
+        # X @ x0, then X.T @ r and X @ z per iteration, then X.T @ r for the
+        # final residual
+        assert _CountedMatrix.full_products == 2 * K + 2
 
 
 class TestMonotoneSeededSuite:
