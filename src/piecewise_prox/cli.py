@@ -146,11 +146,12 @@ def _cmd_benchmark(args) -> int:
 
     with open(args.config) as fh:
         doc = json.load(fh)
-    if args.output_dir and doc.get("output_dir") and args.output_dir != doc["output_dir"]:
-        print(f"warning: --output-dir {args.output_dir!r} ignored; "
+    override = args.output_dir if isinstance(doc, dict) else None  # from_dict rejects the rest
+    if override and doc.get("output_dir") and override != doc["output_dir"]:
+        print(f"warning: --output-dir {override!r} ignored; "
               f"config output_dir {doc['output_dir']!r} wins", file=sys.stderr)
-    elif args.output_dir and not doc.get("output_dir"):
-        doc["output_dir"] = args.output_dir
+    elif override and not doc.get("output_dir"):
+        doc["output_dir"] = override
     cfg = ExperimentConfig.from_dict(doc)
     report = run_experiment(cfg)
     for row in report.solvers:

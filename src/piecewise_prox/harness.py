@@ -16,6 +16,9 @@ plus the rate-fit reference objective and one summary record per solver
 Config JSON keys: ``loss``, ``penalty {kind, params}``,
 ``data {kind, ...}``, ``solvers [{name, s, w0, K}]``, ``output_dir``, ``x0``,
 ``seed``, ``tail_fraction``, ``record_timing``, ``reference_multiple``.
+The config and each solver entry are JSON objects; ``loss``, ``penalty``,
+``data``, ``output_dir`` and each solver's ``name`` are required, and the
+penalty params are numbers that its builder takes.
 Solver names must be unique; each ``K`` and ``reference_multiple`` is an
 integer >= 1, ``s`` is null (the default step) or a number, and ``w0`` and
 ``tail_fraction`` are numbers in (0, 1].
@@ -224,6 +227,16 @@ class SolverSpec:
                              f"got {self.w0!r}")
 
 
+def _solver_spec(doc) -> SolverSpec:
+    if not isinstance(doc, dict):
+        raise ValueError(f"each solver entry must be a JSON object, got {doc!r}")
+    fields = {f.name for f in dataclasses.fields(SolverSpec)}
+    unknown = set(doc) - fields
+    if unknown or "name" not in doc:
+        raise ValueError(f"solver entry {doc!r} needs a name and only the keys {sorted(fields)}")
+    return SolverSpec(**doc)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     loss: str
@@ -238,6 +251,12 @@ class ExperimentConfig:
     reference_multiple: int = 5
 
     def __post_init__(self):
+        for name in ("penalty", "data"):
+            spec = getattr(self, name)
+            if not isinstance(spec, dict) or "kind" not in spec:
+                raise ValueError(f"{name} must be a JSON object with a kind, got {spec!r}")
+        if not isinstance(self.penalty.get("params", {}), dict):
+            raise ValueError(f"penalty params must be a JSON object, got {self.penalty['params']!r}")
         names = [spec.name for spec in self.solvers]
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:
@@ -251,15 +270,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        solvers = tuple(SolverSpec(**s) for s in doc.get("solvers", ()))
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+        solvers = tuple(_solver_spec(s) for s in doc.get("solvers", ()))
         if not solvers:
             raise ValueError("config needs at least one solver")
-        known = {"loss", "penalty", "data", "solvers", "output_dir", "x0",
-                 "seed", "tail_fraction", "record_timing", "reference_multiple"}
-        unknown = set(doc) - known
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        unknown = set(doc) - fields
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kw = {k: v for k, v in doc.items() if k in known and k != "solvers"}
+        missing = {"loss", "penalty", "data", "output_dir"} - set(doc)
+        if missing:
+            raise ValueError(f"missing config keys: {sorted(missing)}")
+        kw = {k: v for k, v in doc.items() if k != "solvers"}
         return ExperimentConfig(solvers=solvers, **kw)
 
     @staticmethod

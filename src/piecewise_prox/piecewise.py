@@ -34,8 +34,10 @@ matches a registered family.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -474,12 +476,13 @@ class PiecewiseFn:
         return float(out[0]) if scalar else out
 
     def _evaluate_on(self, x: np.ndarray, assign: np.ndarray) -> np.ndarray:
-        """Penalty value at the 1-d array x, given its 1-based pieces."""
+        """Surrogate value of each assigned 1-based piece at the array x:
+        the penalty itself where x lies on its assigned pieces."""
         out = np.empty_like(x)
-        for i in range(self.n_pieces):
-            mask = assign == i + 1
+        for m in range(1, self.n_pieces + 1):
+            mask = assign == m
             if mask.any():
-                out[mask] = self.pieces[i].shape(x[mask])
+                out[mask] = self.surrogate(m)(x[mask])
         return out
 
     __call__ = evaluate
@@ -809,6 +812,13 @@ def builtin_penalty(kind: str, **params) -> PiecewiseFn:
         raise PiecewiseBuildError(
             f"unknown penalty kind {kind!r}; expected one of {sorted(_BUILTINS)}"
         ) from None
+    try:
+        inspect.signature(ctor).bind(**params)
+    except TypeError as exc:
+        raise PiecewiseBuildError(f"{kind} penalty: {exc}") from None
+    for name, value in params.items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise PiecewiseBuildError(f"{kind} penalty: {name} must be a number, got {value!r}")
     return ctor(**params)
 
 

@@ -102,16 +102,7 @@ class Problem:
         return min(fn.R0 for fn, _ in self._groups)
 
     def penalty_value(self, x) -> float:
-        return self.piece_penalty(self.assignments(x), x)
-
-    def piece_penalty(self, assignment, x) -> float:
-        """sum_i f(x_i) evaluated on the given 1-based pieces of x, which
-        must be x's own; one sum per penalty group."""
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for fn, ix in self._groups:
-            total += float(np.sum(fn._evaluate_on(x[ix], assignment[ix])))
-        return total
+        return self.surrogate_penalty(self.assignments(x), x)
 
     def objective(self, x) -> float:
         return self.loss.value(x) + self.penalty_value(x)
@@ -125,18 +116,12 @@ class Problem:
         return out
 
     def surrogate_penalty(self, assignment, v) -> float:
-        # One sum per (group, piece), unlike piece_penalty's one per group, and
-        # it must stay so: ppgd's guard compares this value with F(x), which
-        # at a plateau it matches up to rounding, so regrouping the sum flips
-        # guard decisions and changes how many iterations a run takes.
+        """sum_i of the surrogate of piece assignment_i at v_i, one sum per
+        penalty group: the penalty sum_i f(v_i) when the pieces are v's own."""
         v = np.asarray(v, dtype=float)
         total = 0.0
         for fn, ix in self._groups:
-            sub_assign = assignment[ix]
-            for m in range(1, fn.n_pieces + 1):
-                sel = ix[sub_assign == m]
-                if sel.size:
-                    total += float(np.sum(fn.surrogate(m)(v[sel])))
+            total += float(np.sum(fn._evaluate_on(v[ix], assignment[ix])))
         return total
 
     def prox_step(self, assignment, s: float, v: np.ndarray) -> np.ndarray:
@@ -384,6 +369,12 @@ def default_step_size(problem: Problem) -> float:
     return 0.5 / L
 
 
+def _check_step(s: float) -> float:
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"step size must be finite and positive, got {s!r}")
+    return s
+
+
 def _check_finite(F: float, solver: str, k: int) -> None:
     if not math.isfinite(F):
         raise SolverError(f"{solver}: non-finite objective at iteration {k} (diverging step?)")
@@ -394,16 +385,17 @@ def _objective_and_pieces(problem: Problem, x):
     membership pass."""
     Xx = problem.loss.data.features @ x
     assign = problem.assignments(x)
-    return problem.loss.value(x, Xx) + problem.piece_penalty(assign, x), assign, Xx
+    return problem.loss.value(x, Xx) + problem.surrogate_penalty(assign, x), assign, Xx
 
 
 def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
            w0: Optional[float], stop_tol: Optional[float], record_timing: bool) -> Trace:
     """The iteration every solver shares.
 
-    Validates the arguments, keeps the momentum state (x_prev, z, t) and
-    extrapolates u from it, records piece transitions and the trace, applies
-    the ``stop_tol`` early stop and computes the final stationarity residual.
+    Validates the arguments (``stop_tol`` is None or positive), keeps the
+    momentum state (x_prev, z, t) and extrapolates u from it, records piece
+    transitions and the trace, applies the ``stop_tol`` early stop and
+    computes the final stationarity residual.
 
     Next to each of x, x_prev and z the loop carries its product with the
     feature matrix X (px, px_prev, pz), each a fresh product of its own
@@ -418,13 +410,15 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     extrapolation with its product, the objective the step judged it by (the
     trace's ``F_surrogate_z`` column), the outcome label, and ``(F(z), piece
     assignment of z)`` when z becomes the next iterate, None when x stays.
+    Every objective value, F(x) and the probe's, is the loss plus one
+    ``Problem.surrogate_penalty`` sum, so a probe that stays on x's pieces is
+    valued by its true F, summed exactly as F(x) is.
     """
     if not isinstance(K, numbers.Integral) or K < 0:
         raise ValueError(f"K must be a nonnegative integer, got {K!r}")
-    if s is None:
-        s = default_step_size(problem)
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"step size must be finite and positive, got {s!r}")
+    if stop_tol is not None and not stop_tol > 0:
+        raise ValueError(f"stop_tol must be None or positive, got {stop_tol!r}")
+    s = _check_step(default_step_size(problem) if s is None else s)
     x = np.array(x0, dtype=float)
     if x.shape != (problem.d,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({problem.d},)")
@@ -491,9 +485,11 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
     Per iteration: extrapolate u from (x, x_prev, z); pull u back onto the
     pieces of x (projection with radius R0); take a prox step on the
     surrogates of those pieces; accept through the surrogate-objective guard
-    and the NCE rule.  ``stop_tol`` enables an early stop once the
-    stationarity residual drops below it with no transition in the last 10
-    iterations.
+    F_s(z) <= F(x) and the NCE rule.  On a probe that stays on x's pieces the
+    surrogate objective is the true F(z), summed exactly as F(x) is, so a
+    probe equal to x always passes the guard.  ``stop_tol`` enables an early
+    stop once the stationarity residual drops below it with no transition in
+    the last 10 iterations.
     """
     if not 0.0 < w0 <= 1.0:
         raise ValueError("w0 must lie in (0, 1]")
@@ -511,13 +507,12 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
             return z, pz, F_sz, "guard-reject", None
         assign_z = problem.assignments(z)
         if np.array_equal(assign_z, assign):
-            outcome = "same-piece"
-        elif any([_nce_group(fn, z[ix], w[ix], w0, assign[ix], assign_z[ix])
-                  for fn, ix in problem._groups]):  # every group judged, so each may raise
-            outcome = "nce-accept"
-        else:
-            return z, pz, F_sz, "nce-reject", None
-        return z, pz, F_sz, outcome, (g_z + problem.piece_penalty(assign_z, z), assign_z)
+            return z, pz, F_sz, "same-piece", (F_sz, assign)
+        if any([_nce_group(fn, z[ix], w[ix], w0, assign[ix], assign_z[ix])
+                for fn, ix in problem._groups]):  # every group judged, so each may raise
+            F_z = g_z + problem.surrogate_penalty(assign_z, z)
+            return z, pz, F_sz, "nce-accept", (F_z, assign_z)
+        return z, pz, F_sz, "nce-reject", None
 
     return _solve("ppgd", step, problem, x0, s, K, w0, stop_tol, record_timing)
 
@@ -573,8 +568,7 @@ def stationarity_residual(problem: Problem, x, s: float) -> float:
     Zero at a point that is a fixed point of the projected surrogate update; a
     numeric stand-in for the critical-point condition.
     """
-    if s <= 0:
-        raise ValueError("step size must be positive")
+    _check_step(s)
     x = np.asarray(x, dtype=float)
     return _residual(problem, x, problem.loss.gradient(x), s)
 

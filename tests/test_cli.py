@@ -113,6 +113,15 @@ class TestSolve:
         assert "--stop-tol" in err
         assert not (tmp_path / f"trace_{solver}.csv").exists()
 
+    @pytest.mark.parametrize("stop_tol", ["nan", "0", "-1"])
+    def test_bad_stop_tol_exits_2(self, tmp_path, capsys, stop_tol):
+        code, out, err = run_cli(
+            ["solve", "--n", "20", "--d", "3", "--solver", "ppgd", "--stop-tol", stop_tol,
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: stop_tol")
+        assert len(err.strip().splitlines()) == 1
+
     def test_default_step_printed(self, tmp_path, capsys):
         code, out, err = run_cli(
             ["solve", "--n", "20", "--d", "3", "--solver", "ppgd", "--stop-tol", "1e-3",
@@ -196,6 +205,29 @@ class TestBenchmark:
         code, out, err = run_cli(["benchmark", "--config", str(cfg)], capsys)
         assert code == 2
         assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        lambda doc: {**doc, "solvers": ["ppgd"]},
+        lambda doc: {**doc, "solvers": [{"name": "ppgd", "foo": 1}]},
+        lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": {"b": 0.5}}},
+        lambda doc: {**doc, "penalty": {"kind": "capped-l1",
+                                        "params": {"lam": 0.2, "bogus": 1}}},
+        lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": {"lam": "x"}}},
+    ], ids=["list", "solver-string", "solver-key", "missing-lam", "bogus-param", "string-lam"])
+    @pytest.mark.parametrize("override", [False, True], ids=["config-dir", "override-dir"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, edit, override):
+        cfg = self.write_config(tmp_path, tmp_path / "results")
+        doc = json.loads(cfg.read_text())
+        argv = ["benchmark", "--config", str(cfg)]
+        if override:  # the output directory comes from the command line instead
+            argv += ["--output-dir", doc.pop("output_dir")]
+        cfg.write_text(json.dumps(edit(doc)))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "results").exists()
 

@@ -11,6 +11,7 @@ from piecewise_prox import (
     Dataset,
     ExperimentConfig,
     IdxFormatError,
+    PiecewiseBuildError,
     PiecewiseFn,
     Problem,
     apg_monotone,
@@ -325,6 +326,32 @@ class TestRunExperiment:
             doc["solvers"] = [{"name": "ppgd", field: value}]
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "config must be a JSON object"),
+        (lambda doc: {**doc, "solvers": ["ppgd"]}, "each solver entry must be a JSON object"),
+        (lambda doc: {**doc, "solvers": [{"name": "ppgd", "foo": 1}]}, "only the keys"),
+        (lambda doc: {**doc, "solvers": [{"K": 5}]}, "needs a name"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "loss"}, "missing config keys"),
+        (lambda doc: {**doc, "penalty": "capped-l1"}, "penalty must be a JSON object"),
+        (lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": [0.2]}},
+         "penalty params must be a JSON object"),
+    ], ids=["list", "solver-string", "solver-key", "solver-name", "missing-loss",
+            "penalty-string", "params-list"])
+    def test_malformed_config_rejected(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(edit(desk_config(tmp_path).to_dict()))
+
+    @pytest.mark.parametrize("params, message", [
+        ({"b": 0.4}, "missing a required argument: 'lam'"),
+        ({"lam": 0.2, "bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ({"lam": "x"}, "lam must be a number"),
+    ], ids=["missing-lam", "bogus-param", "string-lam"])
+    def test_bad_penalty_params_rejected(self, tmp_path, params, message):
+        doc = desk_config(tmp_path).to_dict()
+        doc["penalty"] = {"kind": "capped-l1", "params": params}
+        with pytest.raises(PiecewiseBuildError, match=message):
+            build_problem(ExperimentConfig.from_dict(doc))
 
     def test_numeric_settings_accepted(self, tmp_path):
         doc = desk_config(tmp_path).to_dict()

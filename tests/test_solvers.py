@@ -21,6 +21,7 @@ from piecewise_prox import (
     indicator_penalty,
     l0_penalty,
     l1_penalty,
+    leaky_capped_l1,
     least_squares,
     logistic_loss,
     nce,
@@ -382,6 +383,12 @@ class TestPpgd:
                 kwargs = {"x0": np.zeros(1), **kwargs}
                 with pytest.raises(ValueError):
                     solver(prob, **kwargs)
+        for stop_tol in (math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="stop_tol"):
+                ppgd(prob, np.zeros(1), K=300, stop_tol=stop_tol)
+        for s in (math.nan, math.inf, 0.0, -0.5):
+            with pytest.raises(ValueError, match="step size"):
+                stationarity_residual(prob, np.zeros(1), s)
 
     def test_trace_serialization(self, tmp_path):
         prob = one_d_problem()
@@ -519,6 +526,39 @@ class TestMixedPenalties:
         assert prob.penalty_value(x) == pytest.approx(expect, abs=1e-12)
         trace = ppgd(prob, np.zeros(3), K=100)
         assert np.all(np.diff(trace.objective) <= 1e-12)
+
+    def test_penalty_is_one_sum_per_group(self):
+        lam, b, tau = 0.2, 1.0, 0.3
+        fns = (capped_l1(lam, b), l0_penalty(lam), indicator_penalty(lam, tau))
+        formulas = (lambda x: np.where(np.abs(x) <= b, lam * np.abs(x), lam * b),
+                    lambda x: np.where(x == 0.0, 0.0, lam),
+                    lambda x: np.where(x < tau, lam, 0.0))
+        data = Dataset(np.zeros((1, 50)), np.zeros(1))
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            group = rng.integers(0, 3, size=50)
+            prob = Problem(least_squares(data), [fns[g] for g in group])
+            x = rng.uniform(-3.0, 3.0, size=50)
+            on_breakpoint = rng.random(50) < 0.3
+            x[on_breakpoint] = rng.choice([0.0, tau, b, -b], size=int(on_breakpoint.sum()))
+            # one sum per group, the groups in order of first use
+            expect = sum(float(np.sum(formulas[g](x[group == g])))
+                         for g in dict.fromkeys(group.tolist()))
+            assert prob.surrogate_penalty(prob.assignments(x), x) == expect
+            assert prob.penalty_value(x) == expect
+
+    def test_same_piece_probe_valued_as_the_objective(self):
+        rng = np.random.default_rng(0)
+        n, d = 60, 200
+        D = rng.standard_normal((n, d)) / math.sqrt(n)
+        pens = [capped_l1(0.05, 0.3), l0_penalty(0.02), indicator_penalty(0.03, 0.0),
+                leaky_capped_l1(0.05, 0.3, 0.01)]
+        prob = Problem(least_squares(Dataset(D, rng.standard_normal(n))),
+                       [pens[j % 4] for j in range(d)])
+        trace = ppgd(prob, np.zeros(d), K=100)
+        same = [k for k, o in enumerate(trace.nce_outcomes) if o == "same-piece"]
+        assert len(same) > 50 and trace.n_transitions[-1] > 0
+        assert [k for k in same if trace.surrogate_objective[k] != trace.objective[k]] == []
 
 
 def few_moves_problem():
