@@ -307,9 +307,28 @@ class ExperimentConfig:
         }
 
 
+# the keys each data kind needs, and the check of each key a kind may read
+_DATA_REQUIRED = {"synth-classification": ("n", "d"), "synth-regression": ("n", "d"),
+                  "csv": ("path",), "idx": ("images", "labels")}
+_DATA_VALUES = {
+    **dict.fromkeys(("n", "d", "per_class"), (_is_count, "an integer >= 1")),
+    **dict.fromkeys(("sparsity", "noise", "coeff_scale", "feature_scale", "class_a", "class_b"),
+                    (_is_real, "a number")),
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    **dict.fromkeys(("path", "images", "labels"), (lambda v: isinstance(v, str), "a path string")),
+}
+
+
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
     spec = dict(cfg.data)
     kind = spec.pop("kind")
+    required = _DATA_REQUIRED.get(kind, ()) + (("class_b",) if "class_a" in spec else ())
+    for key in required:
+        if key not in spec:
+            raise ValueError(f"data key {key!r} is required for kind {kind!r}")
+    for key, (check, what) in _DATA_VALUES.items():
+        if key in spec and not check(spec[key]):
+            raise ValueError(f"data key {key!r} must be {what}, got {spec[key]!r}")
     if kind in ("synth-classification", "synth-regression"):
         data, _ = synth(kind.removeprefix("synth-"),
                         n=spec["n"], d=spec["d"],

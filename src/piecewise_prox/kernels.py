@@ -83,24 +83,13 @@ def _prox_quadratic(x, s, params):
 
 def _prox_indicator_snap(x, s, params):
     # Step surrogate: f(v) = c + jump on the high side of tau, c on the other.
-    # high_side = -1 means the high constant sits on v < tau.
+    # high_side = -1 means the high constant sits on v < tau.  Points within
+    # the reach t of tau on the high side snap to tau; t itself is a tie.
     jump, tau, high_side = params
-    reach = math.sqrt(2.0 * jump * s)
+    t = tau + high_side * math.sqrt(2.0 * jump * s)
     out = x.copy()
-    if high_side < 0:
-        t = tau - reach
-        snap = (x > t) & (x < tau)
-        out[snap] = tau
-        on_edge = x == t
-        if on_edge.any():
-            out[on_edge] = tie_break(t, tau)
-    else:
-        t = tau + reach
-        snap = (x < t) & (x > tau)
-        out[snap] = tau
-        on_edge = x == t
-        if on_edge.any():
-            out[on_edge] = tie_break(t, tau)
+    out[(x > min(t, tau)) & (x < max(t, tau))] = tau
+    out[x == t] = tie_break(t, tau)
     return out
 
 
@@ -108,20 +97,12 @@ def _prox_hard(x, s, params):
     # Point surrogate: f(v) = c + jump_left for v < q, c at q, c + jump_right
     # for v > q.  Staying costs the side jump, snapping costs (x-q)^2/(2s).
     q, jump_left, jump_right = params
-    out = x.copy()
     d2 = (x - q) ** 2
-    left = x < q
-    right = x > q
-    snap = np.zeros_like(x, dtype=bool)
-    snap[left] = d2[left] < 2.0 * jump_left * s
-    snap[right] = d2[right] < 2.0 * jump_right * s
-    out[snap] = q
-    tie = np.zeros_like(x, dtype=bool)
-    tie[left] = d2[left] == 2.0 * jump_left * s
-    tie[right] = d2[right] == 2.0 * jump_right * s
-    if tie.any():
-        for i in np.flatnonzero(tie):
-            out[i] = tie_break(q, float(x[i]))
+    reach = np.where(x < q, 2.0 * jump_left * s, 2.0 * jump_right * s)
+    off = x != q
+    out = np.where(off & (d2 < reach), q, x)
+    for i in np.flatnonzero(off & (d2 == reach)):
+        out[i] = tie_break(q, float(x[i]))
     return out
 
 

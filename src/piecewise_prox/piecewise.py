@@ -39,6 +39,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -399,8 +400,9 @@ class SurrogateFn:
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         p = self.piece
-        # the common case, every point on the closure; a NaN fails both tests
-        if arr.min(initial=math.inf) >= p.left and arr.max(initial=-math.inf) <= p.right:
+        # the common case, every point on the closure (a NaN fails a bounded side)
+        if ((p.left == -math.inf or arr.min(initial=math.inf) >= p.left)
+                and (p.right == math.inf or arr.max(initial=-math.inf) <= p.right)):
             out = np.asarray(p.shape(arr), dtype=float)
         else:
             below, above = arr < p.left, arr > p.right
@@ -497,9 +499,16 @@ class PiecewiseFn:
         """Closure bounds of piece m (1-based)."""
         return float(self._lo[m - 1]), float(self._hi[m - 1])
 
-    def endpoint_values(self) -> np.ndarray:
-        """The distinct breakpoint values, ascending."""
-        return self._cuts[:-1].copy()
+    @cached_property
+    def owner_values(self):
+        """(q, f(q), unowned): the breakpoint values ascending, the penalty at
+        each (the bytes ``evaluate`` gives) and, per piece, the (edges, values)
+        of its finite edges that another piece owns; no membership pass."""
+        q, at = self._cuts[:-1], self._at[:-1]
+        fq = self._evaluate_on(q, at)
+        foreign = [((q == lo) | (q == hi)) & (at != m)
+                   for m, lo, hi in zip(range(1, self.n_pieces + 1), self._lo, self._hi)]
+        return q, fq, tuple((q[f], fq[f]) for f in foreign)
 
     # -- surrogates -----------------------------------------------------------
 

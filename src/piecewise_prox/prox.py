@@ -1,15 +1,18 @@
 """Proximal maps for surrogate penalties, plus a brute-force grid oracle.
 
 ``prox_surrogate`` dispatches to the surrogate's registered closed-form kernel
-and otherwise takes the best of a golden-section search on the piece closure
+and otherwise takes the best of a grid-section search on the piece closure
 and the closed-form minimizers of its affine or constant wings.
 ``prox_vector`` does so for one penalty's coordinates, one array call per
-piece present.  ``prox_true`` is the exact prox of the full penalty.  All of
-them break ties with the library rule (``_pick_columns``), and every
-golden-section search runs on all of its brackets at once (``_golden_min``).
+piece present.  ``prox_true`` is the exact prox of the full penalty; it values
+each candidate once, by the piece that produced it.  All of them break ties
+with the library rule (``_pick_columns``).  Every grid-section search runs on
+all of its brackets at once (``_section_min``): each round samples a fixed
+65-point grid across every bracket and keeps the two cells around the least
+sample, until the bracket is at most 1e-12 wide.
 ``prox_oracle`` is an independent ground-truth used by tests: a dense grid
-argmin refined by one golden-section pass per local basin, with its own scalar
-search (``_golden_scalar``).  The two routes are kept separate so each can
+argmin refined by one grid-section pass per local basin, with its own scalar
+search (``_section_scalar``).  The two routes are kept separate so each can
 check the other.
 """
 
@@ -31,7 +34,8 @@ __all__ = [
     "minimizer_halfwidth",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the grid-section search's sample positions across a bracket, one per row
+_GRID = np.linspace(0.0, 1.0, 65)[:, None]
 _CHUNK = 1 << 14
 
 
@@ -67,45 +71,34 @@ def minimizer_halfwidth(slope_bound: float, jump_bound: float, jump_points,
     return base
 
 
-def _golden_min(psi: Callable, lo, hi, tol: float = 1e-12, iters: int = 200):
-    """Golden-section search on every bracket [lo_i, hi_i] in lockstep.
+def _section_min(psi: Callable, lo, hi, tol: float = 1e-12, iters: int = 200):
+    """Grid-section search on every bracket [lo_i, hi_i] at once.
 
-    ``psi`` maps an array of points, one per bracket, to their objectives.  A
-    bracket stops once it is at most ``tol`` wide, so each one takes the
-    samples that a search of its own would.  Returns the (argmin, value)
-    arrays among each bracket's samples and its two ends.
+    Each round evaluates ``psi`` once on a fixed 65-point grid across every
+    bracket, ends included; a live bracket keeps the two cells around its
+    first least sample, and stops once at most ``tol`` wide or unchanged.
+    ``psi`` broadcasts over the brackets on the last axis, so each bracket
+    takes the samples a search of its own would.  Returns the (argmin, value)
+    arrays among each bracket's samples, (lo, inf) where none is below inf.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    a, b = lo.copy(), hi.copy()
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = psi(c), psi(d)
-    best_v, best_f = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    cols, last = np.arange(a.size), _GRID.size - 1
+    live = np.ones(a.shape, dtype=bool)
+    best_v, best_f = a.copy(), np.full(a.shape, np.inf)
     for _ in range(iters):
-        live = np.abs(b - a) > tol
+        v = a + (b - a) * _GRID
+        v[last] = b
+        fv = psi(v)
+        i = fv.argmin(axis=0)
+        better = live & (fv[i, cols] < best_f)
+        np.copyto(best_v, v[i, cols], where=better)
+        np.copyto(best_f, fv[i, cols], where=better)
+        width = b - a
+        np.copyto(a, v[np.maximum(i - 1, 0), cols], where=live)
+        np.copyto(b, v[np.minimum(i + 1, last), cols], where=live)
+        live &= (b - a > tol) & (b - a < width)
         if not live.any():
             break
-        # on the left, keep [a, d]: c becomes d and a new c is sampled; on
-        # the right, keep [c, b]: d becomes c and a new d is sampled
-        left = live & (fc <= fd)
-        right = live ^ left
-        np.copyto(a, c, where=right)
-        np.copyto(b, d, where=left)
-        step = _GOLDEN * (b - a)
-        v = np.where(left, b - step, a + step)
-        fv = psi(v)
-        for x, y, fx, fy, side in ((d, c, fd, fc, left), (c, d, fc, fd, right)):
-            np.copyto(x, y, where=side)
-            np.copyto(fx, fy, where=side)
-            np.copyto(y, v, where=side)
-            np.copyto(fy, fv, where=side)
-        better = live & (fv < best_f)
-        np.copyto(best_v, v, where=better)
-        np.copyto(best_f, fv, where=better)
-    for end in (lo, hi):
-        fe = psi(end)
-        better = fe < best_f
-        np.copyto(best_v, end, where=better)
-        np.copyto(best_f, fe, where=better)
     return best_v, best_f
 
 
@@ -167,14 +160,14 @@ def _surrogate_prox(sur: SurrogateFn, s: float, u: np.ndarray, coords) -> np.nda
 
 def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Minimizer at each u of (1/2s)(v - u)^2 + sur(v) over the closure
-    [lo, hi], where sur is its convex piece: a golden-section search on the
-    closure cut to the reach u +- hw, against the finite edges, or the nearer
-    edge where the reach misses the closure."""
+    [lo, hi], where sur is its convex piece's shape: a grid-section search on
+    the closure cut to the reach u +- hw, against the finite edges, or the
+    nearer edge where the reach misses the closure."""
     hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, 0.0)
     a, b = np.maximum(lo, u - hw), np.minimum(hi, u + hw)
     edge, miss = np.where(u < lo, lo, hi), a > b
-    psi = _objective(sur, s, u)
-    v, fv = _golden_min(psi, np.where(miss, edge, a), np.where(miss, edge, b))
+    psi = _objective(sur.piece.shape, s, u)
+    v, fv = _section_min(psi, np.where(miss, edge, a), np.where(miss, edge, b))
     ends = [np.full_like(u, end) for end in (lo, hi) if math.isfinite(end)]
     best = _pick_columns(np.stack([v, *ends]), np.stack([fv, *map(psi, ends)]))
     return np.where(miss, edge, best)
@@ -225,36 +218,27 @@ def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
 
     ends = np.array([lo, hi])
     candidates = [*zip(ends, psi(ends)), best]
-    candidates += [_golden_scalar(psi, a, b, tol=1e-10) for a, b in brackets]
+    candidates += [_section_scalar(psi, a, b, tol=1e-10) for a, b in brackets]
     return _pick(candidates)
 
 
-def _golden_scalar(psi: Callable, lo: float, hi: float, tol: float, iters: int = 200):
-    """The oracle's golden-section search on one bracket, written apart from
-    ``_golden_min`` with the same update, ``tol`` and cap, so that each
-    checks the other.  Returns (argmin, value) among its samples and ends.
+def _section_scalar(psi: Callable, lo: float, hi: float, tol: float, iters: int = 200):
+    """The oracle's grid-section search on one bracket, written apart from
+    ``_section_min`` with the same grid, ``tol`` and cap, so that each
+    checks the other.  Returns (argmin, value) among its samples.
     """
-    a, b = lo, hi
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = psi(c), psi(d)
-    best_v, best_f = (c, fc) if fc <= fd else (d, fd)
+    a, b, best_v, best_f = lo, hi, lo, math.inf
     for _ in range(iters):
-        if not abs(b - a) > tol:
+        v = a + (b - a) * _GRID[:, 0]
+        v[-1] = b
+        fv = psi(v)
+        k = int(np.argmin(fv))
+        if fv[k] < best_f:
+            best_v, best_f = v[k], fv[k]
+        width = b - a
+        a, b = v[max(k - 1, 0)], v[min(k + 1, v.size - 1)]
+        if not tol < b - a < width:
             break
-        if fc <= fd:  # keep [a, d]: c becomes d, a new c is sampled
-            b, d, fd = d, c, fc
-            c = v = b - _GOLDEN * (b - a)
-            fc = fv = psi(v)
-        else:  # keep [c, b]: d becomes c, a new d is sampled
-            a, c, fc = c, d, fd
-            d = v = a + _GOLDEN * (b - a)
-            fd = fv = psi(v)
-        if fv < best_f:
-            best_v, best_f = v, fv
-    for end in (lo, hi):
-        fe = psi(end)
-        if fe < best_f:
-            best_v, best_f = end, fe
     return best_v, best_f
 
 
@@ -290,17 +274,23 @@ def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
     Enumerates, per piece, the surrogate prox clamped to the piece closure,
     plus every finite breakpoint, and keeps the candidate minimizing the true
     objective (ties broken by the library rule).  Restricted to a closure each
-    surrogate is continuous and convex, so the clamp is exact there.
+    surrogate is continuous and convex, so the clamp is exact there.  A
+    candidate takes its piece's shape, or the owner's f(q) on a breakpoint
+    row or an edge its piece does not own, as the membership rule values it.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    cand_vals = []
-    for m in range(1, fn.n_pieces + 1):
+    if not np.isfinite(u).all():
+        fn.piece_index(u)  # raises the membership rule's ValueError
+    q, fq, unowned = fn.owner_values
+    cands = np.empty((fn.n_pieces + q.size, u.size))
+    values = np.empty_like(cands)
+    cands[fn.n_pieces:], values[fn.n_pieces:] = q[:, None], fq[:, None]
+    for m, (p, (edges, edge_values)) in enumerate(zip(fn.pieces, unowned), 1):
         sur = fn.surrogate(m)
-        lo, hi = fn.piece_bounds(m)
-        cand_vals.append(np.clip(sur.kernel.prox(u, s), lo, hi) if sur.kernel is not None
-                         else _closure_prox(sur, s, u, lo, hi))
-    for q in fn.endpoint_values():
-        cand_vals.append(np.full(u.shape, q))
-    cands = np.stack(cand_vals, axis=0)
-    psi = _objective(fn.evaluate, s, u)(cands)
+        v = (np.clip(sur.kernel.prox(u, s), p.left, p.right) if sur.kernel is not None
+             else _closure_prox(sur, s, u, p.left, p.right))
+        cands[m - 1], values[m - 1] = v, p.shape(v)
+        for e, fe in zip(edges, edge_values):
+            np.copyto(values[m - 1], fe, where=v == e)
+    psi = (cands - u) ** 2 / (2.0 * s) + values
     return _pick_checked(cands, psi, np.arange(u.size))

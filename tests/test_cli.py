@@ -208,6 +208,21 @@ class TestBenchmark:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("data, key", [
+        ({"n": "abc"}, "n"), ({"d": 2.5}, "d"), ({"sparsity": "x"}, "sparsity"),
+        ({"kind": "csv"}, "path"),
+    ], ids=["n-string", "d-float", "sparsity-string", "csv-no-path"])
+    def test_bad_data_value_exits_2(self, tmp_path, capsys, data, key):
+        cfg = self.write_config(tmp_path, tmp_path / "results")
+        doc = json.loads(cfg.read_text())
+        doc["data"].update(data)
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["benchmark", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: data key {key!r}")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda doc: [doc],
         lambda doc: {**doc, "solvers": ["ppgd"]},

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -353,6 +354,27 @@ class TestRunExperiment:
         with pytest.raises(PiecewiseBuildError, match=message):
             build_problem(ExperimentConfig.from_dict(doc))
 
+    @pytest.mark.parametrize("data, message", [
+        ({"n": "abc"}, "data key 'n' must be an integer >= 1, got 'abc'"),
+        ({"d": 2.5}, "data key 'd' must be an integer >= 1, got 2.5"),
+        ({"sparsity": "x"}, "data key 'sparsity' must be a number"),
+        ({"noise": None}, "data key 'noise' must be a number"),
+        ({"feature_scale": [2.0]}, "data key 'feature_scale' must be a number"),
+        ({"seed": 1.5}, "data key 'seed' must be an integer >= 0"),
+        ({"kind": "csv"}, "data key 'path' is required for kind 'csv'"),
+        ({"kind": "csv", "path": 3}, "data key 'path' must be a path string"),
+        ({"kind": "idx", "images": "x.idx"}, "data key 'labels' is required for kind 'idx'"),
+        ({"kind": "idx", "images": "x.idx", "labels": "y.idx", "class_a": 3},
+         "data key 'class_b' is required for kind 'idx'"),
+    ], ids=["n-string", "d-float", "sparsity-string", "noise-null", "scale-list",
+            "seed-float", "csv-no-path", "csv-path-number", "idx-no-labels", "idx-no-class-b"])
+    def test_bad_data_values_rejected(self, tmp_path, data, message):
+        doc = desk_config(tmp_path).to_dict()
+        doc["data"] = {**doc["data"], **data}
+        cfg = ExperimentConfig.from_dict(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_problem(cfg)
+
     def test_numeric_settings_accepted(self, tmp_path):
         doc = desk_config(tmp_path).to_dict()
         doc["solvers"] = [{"name": "ppgd", "s": 1, "w0": 1}, {"name": "pgd", "s": None}]
@@ -365,9 +387,9 @@ class TestMembershipPasses:
     # One piece_index call per penalty group (the desk problem has one) for
     # the start point, for each iterate a step accepts and for the final
     # residual.  ppgd's 40 steps are 19 same-piece steps and 21 guard-rejects,
-    # which keep x and its pieces; apg and pgd also make one call per step in
-    # prox_true, which values its candidates.
-    @pytest.mark.parametrize("solver, calls", [(ppgd, 21), (apg_monotone, 82), (pgd, 82)])
+    # which keep x and its pieces; apg and pgd value each of their 40 iterates
+    # once, and prox_true values its candidates with no membership pass.
+    @pytest.mark.parametrize("solver, calls", [(ppgd, 21), (apg_monotone, 42), (pgd, 42)])
     def test_piece_index_calls(self, tmp_path, monkeypatch, solver, calls):
         problem, x0 = build_problem(desk_config(tmp_path))
         piece_index = PiecewiseFn.piece_index

@@ -412,6 +412,55 @@ class TestSurrogates:
                 vals = np.asarray(p.shape(grid))
                 assert np.min(vals[2:] - 2 * vals[1:-1] + vals[:-2]) >= -1e-10 * max(1.0, np.abs(vals).max())
 
+    @pytest.mark.parametrize("fn, m", [
+        (capped_l1(0.2, 1.0), 1), (capped_l1(0.2, 1.0), 2), (capped_l1(0.2, 1.0), 3),
+        (indicator_penalty(2.0, 1.0), 1), (indicator_penalty(2.0, 1.0), 2),
+        (l0_penalty(1.0), 2), (l1_penalty(0.3), 1), (quad_on_segments(), 2),
+    ], ids=["right-bounded", "two-sided", "left-bounded", "indicator-1", "indicator-2",
+            "point", "whole-line", "quadratic-segment"])
+    def test_call_equals_masked_form(self, fn, m):
+        # the closure test is skipped on an unbounded side; the values must be
+        # those of the masked form on every input, NaN and infinities included
+        sur = fn.surrogate(m)
+        p = sur.piece
+
+        def masked(x):
+            below, above = x < p.left, x > p.right
+            inside = ~(below | above)
+            out = np.empty_like(x)
+            out[inside] = p.shape(x[inside])
+            out[below] = sur.left_value + sur.left_slope * (x[below] - p.left)
+            out[above] = sur.right_value + sur.right_slope * (x[above] - p.right)
+            return out
+
+        edges = [e for e in (p.left, p.right) if math.isfinite(e)]
+        inside = edges[0] if edges else 0.5
+        batches = [[math.nan], [inside, math.nan], [math.inf], [-math.inf], edges,
+                   [inside, math.inf], [-math.inf, inside], [-math.inf, math.inf, math.nan],
+                   [e + t for e in edges for t in (-1e-9, 0.0, 1e-9)] + [inside]]
+        with np.errstate(invalid="ignore"):
+            for batch in batches:
+                x = np.array(batch, dtype=float)
+                assert sur(x).tobytes() == masked(x).tobytes(), batch
+                for xi in x:
+                    assert np.float64(sur(float(xi))).tobytes() == masked(np.array([xi])).tobytes()
+
+    @pytest.mark.parametrize("fn", [capped_l1(0.2, 1.0), indicator_penalty(2.0, 1.0),
+                                    leaky_capped_l1(1.0, 1.0, 0.5), l0_penalty(0.7),
+                                    l1_penalty(0.3), zero_penalty(), quad_on_segments()],
+                             ids=["capped-l1", "indicator", "leaky", "l0", "l1", "zero",
+                                  "quadratic-segments"])
+    def test_owner_values_match_evaluate(self, fn):
+        q, fq, unowned = fn.owner_values
+        assert q.tolist() == sorted({e.value for e in fn.endpoints})
+        assert fq.tobytes() == fn.evaluate(q).tobytes()
+        owner = fn.piece_index(q)
+        for m, (edges, values) in enumerate(unowned, start=1):
+            lo, hi = fn.piece_bounds(m)
+            expect = [j for j, v in enumerate(q) if v in (lo, hi) and owner[j] != m]
+            assert edges.tobytes() == q[expect].tobytes()
+            assert values.tobytes() == fq[expect].tobytes()
+
     def test_index_out_of_range(self):
         fn = capped_l1(0.2, 1.0)
         with pytest.raises(IndexError):

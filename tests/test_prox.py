@@ -13,15 +13,25 @@ from piecewise_prox import (
     capped_l1,
     indicator_penalty,
     l0_penalty,
+    l1_penalty,
+    leaky_capped_l1,
     minimizer_halfwidth,
     prox_oracle,
     prox_surrogate,
     prox_true,
     prox_vector,
+    zero_penalty,
 )
-from piecewise_prox.kernels import tie_break
+from piecewise_prox.kernels import hard_threshold_kernel, indicator_snap_kernel, tie_break
 from piecewise_prox.piecewise import Affine, Constant
-from piecewise_prox.prox import _golden_min, _golden_scalar, _pick, _pick_columns
+from piecewise_prox.prox import (
+    _closure_prox,
+    _pick,
+    _pick_checked,
+    _pick_columns,
+    _section_min,
+    _section_scalar,
+)
 
 
 def objective(f, s, x, v):
@@ -101,7 +111,7 @@ class TestOracle:
             prox_oracle(lambda v: np.log(np.asarray(v)), 1.0, 0.5, 2.0, 1e-3)
 
     def test_scalar_search_equals_lockstep_search(self):
-        # the oracle's own search must take the samples _golden_min takes
+        # the oracle's own search must take the samples _section_min takes
         rng = np.random.default_rng(23)
         lo = rng.uniform(-5.0, 5.0, size=200)
         hi = lo + np.where(rng.random(200) < 0.05, 0.0, 10.0 ** rng.uniform(-13.0, 3.0, 200))
@@ -111,10 +121,26 @@ class TestOracle:
             return lambda v: (v - u) * (v - u) / 0.6 + np.sqrt(1.0 + v * v) + 0.4 * np.abs(v - 0.2)
 
         for tol in (1e-12, 1e-10):
-            v, fv = _golden_min(psi_for(u), lo, hi, tol=tol)
+            v, fv = _section_min(psi_for(u), lo, hi, tol=tol)
             for i in range(lo.size):
-                vi, fi = _golden_scalar(psi_for(float(u[i])), float(lo[i]), float(hi[i]), tol)
+                vi, fi = _section_scalar(psi_for(float(u[i])), float(lo[i]), float(hi[i]), tol)
                 assert np.array([vi, fi]).tobytes() == np.array([v[i], fv[i]]).tobytes()
+
+    def test_search_stops_when_a_round_cannot_narrow(self):
+        # neighbouring floats at 1e6 lie 1.2e-10 apart, wider than tol, so
+        # the grid holds only the two ends and the bracket cannot shrink
+        lo = np.array([1e6])
+        hi = np.nextafter(lo, np.inf)
+        calls = []
+
+        def psi(v):
+            calls.append(v)
+            return -v
+
+        v, fv = _section_min(psi, lo, hi)
+        assert (v[0], fv[0], len(calls)) == (hi[0], -hi[0], 1)
+        assert _section_scalar(psi, float(lo[0]), float(hi[0]), 1e-12) == (hi[0], -hi[0])
+        assert len(calls) == 2
 
     def test_halfwidth_is_sound(self):
         # the bracket bound must contain the closed-form minimizer
@@ -258,10 +284,10 @@ class TestNumericFallback:
     @pytest.mark.parametrize("big", [1e155, 1e200, -1e160])
     def test_huge_inputs_are_not_errors(self, big):
         # the objective of some candidates overflows to +inf, which only
-        # loses the comparison; these are the values of the scalar search
+        # loses the comparison; 0.0 is the exact minimizer at u = 0
         fn = capped_pseudo_huber()
         u = np.array([0.0, big])
-        expect = [-1.2110070516682412e-13, big]
+        expect = [0.0, big]
         assert prox_vector(fn, [2, 2], 0.5, u).tolist() == expect
         assert prox_true(fn, 0.5, u).tolist() == expect
         assert [prox_surrogate(fn.surrogate(2), 0.5, x) for x in u] == expect
@@ -297,11 +323,148 @@ class TestNumericFallback:
         def psi_for(u):
             return lambda v: (v - u) ** 2 / 0.6 + np.sqrt(1.0 + v * v) + 0.4 * np.abs(v - 0.2)
 
-        v, fv = _golden_min(psi_for(u), lo, hi)
+        v, fv = _section_min(psi_for(u), lo, hi)
         for i in range(widths.size):
-            vi, fi = _golden_min(psi_for(u[i:i + 1]), lo[i:i + 1], hi[i:i + 1])
+            vi, fi = _section_min(psi_for(u[i:i + 1]), lo[i:i + 1], hi[i:i + 1])
             assert vi.tobytes() == v[i:i + 1].tobytes()
             assert fi.tobytes() == fv[i:i + 1].tobytes()
+
+
+def signed_zero_edge():
+    # piece 2 owns the jump at 0, so at u = -0.0 piece 1's candidate -0.0
+    # ties piece 2's +0.0 only when it takes the owner's value there
+    return build_piecewise(
+        [
+            PieceSpec(-math.inf, 0.0, Constant(1.0)),
+            PieceSpec(0.0, 1.0, Quadratic(1.0, 0.0, 0.0)),
+            PieceSpec(1.0, math.inf, Constant(1.0)),
+        ],
+        ["right-only", "continuous"],
+    )
+
+
+def mixed_tag_point():
+    # the point piece owns 0 through a right-only and a left-only record
+    return build_piecewise(
+        [
+            PieceSpec(-math.inf, 0.0, Constant(2.0)),
+            PieceSpec(0.0, 0.0, Constant(0.2)),
+            PieceSpec(0.0, math.inf, Constant(0.5)),
+        ],
+        ["right-only", "left-only"],
+    )
+
+
+def prox_true_by_membership(fn, s, u):
+    """prox_true's candidates valued through fn.evaluate, the membership rule."""
+    rows = []
+    for m in range(1, fn.n_pieces + 1):
+        sur = fn.surrogate(m)
+        lo, hi = fn.piece_bounds(m)
+        rows.append(np.clip(sur.kernel.prox(u, s), lo, hi) if sur.kernel is not None
+                    else _closure_prox(sur, s, u, lo, hi))
+    rows += [np.full(u.shape, q) for q in sorted({e.value for e in fn.endpoints})]
+    cands = np.stack(rows)
+    return _pick_checked(cands, (cands - u) ** 2 / (2.0 * s) + fn.evaluate(cands),
+                         np.arange(u.size))
+
+
+def prox_true_draws(fn, s, rng):
+    """Random points, both zeros, each breakpoint with its float neighbours,
+    and the points that a piece's edge slope moves onto a breakpoint."""
+    slopes = np.array([t for p in fn.pieces for t in (p.left_slope, p.right_slope)
+                       if math.isfinite(t)])
+    draws = [rng.uniform(-4.0, 4.0, 60), np.array([0.0, -0.0])]
+    for q in sorted({e.value for e in fn.endpoints}):
+        draws += [np.array([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)]),
+                  q + s * slopes, q - s * slopes]
+    return np.concatenate(draws)
+
+
+def prox_hard_masked(x, s, params):
+    """The hard-threshold kernel in its masked form, kept as the reference."""
+    q, jump_left, jump_right = params
+    out = x.copy()
+    d2 = (x - q) ** 2
+    left, right = x < q, x > q
+    snap = np.zeros_like(x, dtype=bool)
+    snap[left] = d2[left] < 2.0 * jump_left * s
+    snap[right] = d2[right] < 2.0 * jump_right * s
+    out[snap] = q
+    tie = np.zeros_like(x, dtype=bool)
+    tie[left] = d2[left] == 2.0 * jump_left * s
+    tie[right] = d2[right] == 2.0 * jump_right * s
+    for i in np.flatnonzero(tie):
+        out[i] = tie_break(q, float(x[i]))
+    return out
+
+
+def prox_indicator_snap_branches(x, s, params):
+    """The indicator-snap kernel in its two-branch form, kept as the reference."""
+    jump, tau, high_side = params
+    reach = math.sqrt(2.0 * jump * s)
+    out = x.copy()
+    t = tau - reach if high_side < 0 else tau + reach
+    snap = (x > t) & (x < tau) if high_side < 0 else (x < t) & (x > tau)
+    out[snap] = tau
+    on_edge = x == t
+    if on_edge.any():
+        out[on_edge] = tie_break(t, tau)
+    return out
+
+
+class TestProxTrue:
+    @pytest.mark.parametrize("make", [
+        lambda: capped_l1(0.2, 1.0), lambda: indicator_penalty(0.7, 0.3),
+        lambda: indicator_penalty(0.7, 0.0), lambda: leaky_capped_l1(1.0, 1.0, 0.5),
+        lambda: l0_penalty(0.5), lambda: l1_penalty(0.3), zero_penalty,
+        constant_limit_wing, linear_wings, capped_pseudo_huber, mixed_tag_point,
+        signed_zero_edge,
+    ], ids=["capped-l1", "indicator", "indicator-at-0", "leaky-capped-l1", "l0", "l1",
+            "zero", "constant-limit-wing", "linear-wings", "capped-pseudo-huber",
+            "mixed-tag-point", "signed-zero-edge"])
+    def test_equals_membership_valuation(self, make):
+        fn = make()
+        rng = np.random.default_rng(31)
+        for s in (0.125, 0.37, 0.5, 2.0):
+            u = prox_true_draws(fn, s, rng)
+            # bytes, so that 0.0 and -0.0 differ
+            assert prox_true(fn, s, u).tobytes() == prox_true_by_membership(fn, s, u).tobytes()
+
+    @pytest.mark.parametrize("make", [capped_pseudo_huber, lambda: l0_penalty(0.5)],
+                             ids=["kernel-less", "l0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_u_raises_the_membership_error(self, make, bad):
+        with pytest.raises(ValueError, match="piece membership needs finite x"):
+            prox_true(make(), 0.5, np.array([0.3, bad]))
+
+
+class TestKernelsEqualTheirOldForms:
+    @pytest.mark.parametrize("params, s", [
+        ((0.0, 1.0, 1.0), 0.5), ((0.5, 2.0, 0.5), 0.25), ((-1.0, 0.5, 4.5), 0.25),
+    ])
+    def test_hard_threshold_equals_masked_form(self, params, s):
+        q, jump_left, jump_right = params
+        # (x - q)^2 equals 2 s jump exactly at these two points
+        ties = [q - math.sqrt(2.0 * s * jump_left), q + math.sqrt(2.0 * s * jump_right)]
+        assert [(t - q) ** 2 for t in ties] == [2.0 * jump_left * s, 2.0 * jump_right * s]
+        rng = np.random.default_rng(43)
+        x = np.concatenate([rng.uniform(q - 3.0, q + 3.0, 200), ties,
+                            [q, 0.0, -0.0, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)]])
+        got = hard_threshold_kernel(*params).prox(x, s)
+        assert got.tobytes() == prox_hard_masked(x, s, params).tobytes()
+
+    @pytest.mark.parametrize("high_side", [-1, 1])
+    @pytest.mark.parametrize("jump, tau, s", [(2.0, 1.0, 0.25), (0.5, 0.0, 0.25), (0.7, -0.3, 0.4)])
+    def test_indicator_snap_equals_branch_form(self, jump, tau, s, high_side):
+        t = tau + high_side * math.sqrt(2.0 * jump * s)
+        rng = np.random.default_rng(47)
+        x = np.concatenate([rng.uniform(tau - 3.0, tau + 3.0, 200),
+                            [t, tau, 0.0, -0.0, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                             np.nextafter(tau, -np.inf), np.nextafter(tau, np.inf)]])
+        params = (jump, tau, float(high_side))
+        got = indicator_snap_kernel(*params).prox(x, s)
+        assert got.tobytes() == prox_indicator_snap_branches(x, s, params).tobytes()
 
 
 class TestInvariants:
