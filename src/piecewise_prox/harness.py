@@ -196,8 +196,8 @@ def synth(kind: str, n: int, d: int, sparsity: float = 0.2, noise: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+def _is_count(v, least: int = 1) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
 
 
 def _is_real(v) -> bool:
@@ -314,7 +314,7 @@ _DATA_VALUES = {
     **dict.fromkeys(("n", "d", "per_class"), (_is_count, "an integer >= 1")),
     **dict.fromkeys(("sparsity", "noise", "coeff_scale", "feature_scale", "class_a", "class_b"),
                     (_is_real, "a number")),
-    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "seed": (lambda v: _is_count(v, least=0), "an integer >= 0"),
     **dict.fromkeys(("path", "images", "labels"), (lambda v: isinstance(v, str), "a path string")),
 }
 

@@ -28,11 +28,7 @@ __all__ = [
 
 def tie_break(a: float, b: float) -> float:
     """Pick between two global minimizers: smaller |v| first, then smaller v."""
-    if abs(a) < abs(b):
-        return a
-    if abs(b) < abs(a):
-        return b
-    return min(a, b)
+    return min(a, b, key=lambda v: (abs(v), v))
 
 
 @dataclass(frozen=True)

@@ -500,7 +500,7 @@ class PiecewiseFn:
         return float(self._lo[m - 1]), float(self._hi[m - 1])
 
     @cached_property
-    def owner_values(self):
+    def _owner_values(self):
         """(q, f(q), unowned): the breakpoint values ascending, the penalty at
         each (the bytes ``evaluate`` gives) and, per piece, the (edges, values)
         of its finite edges that another piece owns; no membership pass."""

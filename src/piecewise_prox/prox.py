@@ -8,8 +8,9 @@ piece present.  ``prox_true`` is the exact prox of the full penalty; it values
 each candidate once, by the piece that produced it.  All of them break ties
 with the library rule (``_pick_columns``).  Every grid-section search runs on
 all of its brackets at once (``_section_min``): each round samples a fixed
-65-point grid across every bracket and keeps the two cells around the least
-sample, until the bracket is at most 1e-12 wide.
+17-point grid across every bracket and keeps the two cells around the least
+sample, until the bracket is at most 1e-12 wide; a closure search takes at
+most 1024 brackets per call.
 ``prox_oracle`` is an independent ground-truth used by tests: a dense grid
 argmin refined by one grid-section pass per local basin, with its own scalar
 search (``_section_scalar``).  The two routes are kept separate so each can
@@ -34,8 +35,8 @@ __all__ = [
     "minimizer_halfwidth",
 ]
 
-# the grid-section search's sample positions across a bracket, one per row
-_GRID = np.linspace(0.0, 1.0, 65)[:, None]
+# the grid-section sample positions across a bracket, and the most brackets per call
+_GRID, _BLOCK = np.linspace(0.0, 1.0, 17)[:, None], 1 << 10
 _CHUNK = 1 << 14
 
 
@@ -74,7 +75,7 @@ def minimizer_halfwidth(slope_bound: float, jump_bound: float, jump_points,
 def _section_min(psi: Callable, lo, hi, tol: float = 1e-12, iters: int = 200):
     """Grid-section search on every bracket [lo_i, hi_i] at once.
 
-    Each round evaluates ``psi`` once on a fixed 65-point grid across every
+    Each round evaluates ``psi`` once on a fixed 17-point grid across every
     bracket, ends included; a live bracket keeps the two cells around its
     first least sample, and stops once at most ``tol`` wide or unchanged.
     ``psi`` broadcasts over the brackets on the last axis, so each bracket
@@ -163,6 +164,9 @@ def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: floa
     [lo, hi], where sur is its convex piece's shape: a grid-section search on
     the closure cut to the reach u +- hw, against the finite edges, or the
     nearer edge where the reach misses the closure."""
+    if u.size > _BLOCK:  # blocks of coordinates bound the search's 17 x k temporaries
+        return np.concatenate([_closure_prox(sur, s, u[i:i + _BLOCK], lo, hi)
+                               for i in range(0, u.size, _BLOCK)])
     hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, 0.0)
     a, b = np.maximum(lo, u - hw), np.minimum(hi, u + hw)
     edge, miss = np.where(u < lo, lo, hi), a > b
@@ -178,7 +182,7 @@ def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
     """Brute-force prox ground truth.
 
     Grid argmin of (1/2s)(v - x)^2 + f(v) over [x - halfwidth, x + halfwidth]
-    at the given spacing, then one golden-section pass per grid-local basin.
+    at the given spacing, then one ``_section_scalar`` pass per grid-local basin.
     The caller must pick ``halfwidth`` large enough to bracket the true
     minimizer (see :func:`minimizer_halfwidth`).
     """
@@ -281,7 +285,7 @@ def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.isfinite(u).all():
         fn.piece_index(u)  # raises the membership rule's ValueError
-    q, fq, unowned = fn.owner_values
+    q, fq, unowned = fn._owner_values
     cands = np.empty((fn.n_pieces + q.size, u.size))
     values = np.empty_like(cands)
     cands[fn.n_pieces:], values[fn.n_pieces:] = q[:, None], fq[:, None]

@@ -375,6 +375,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_problem(cfg)
 
+    def test_numpy_integer_data_values_accepted(self, tmp_path):
+        # n, d and seed take numpy integers alike, as a config built in Python may
+        doc = desk_config(tmp_path).to_dict()
+        want = harness._load_dataset(ExperimentConfig.from_dict(doc))
+        doc["data"] = {**doc["data"], "n": np.int64(400), "d": np.int32(24), "seed": np.int64(0)}
+        got = harness._load_dataset(ExperimentConfig.from_dict(doc))
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
     def test_numeric_settings_accepted(self, tmp_path):
         doc = desk_config(tmp_path).to_dict()
         doc["solvers"] = [{"name": "ppgd", "s": 1, "w0": 1}, {"name": "pgd", "s": None}]

@@ -451,7 +451,7 @@ class TestSurrogates:
                              ids=["capped-l1", "indicator", "leaky", "l0", "l1", "zero",
                                   "quadratic-segments"])
     def test_owner_values_match_evaluate(self, fn):
-        q, fq, unowned = fn.owner_values
+        q, fq, unowned = fn._owner_values
         assert q.tolist() == sorted({e.value for e in fn.endpoints})
         assert fq.tobytes() == fn.evaluate(q).tobytes()
         owner = fn.piece_index(q)

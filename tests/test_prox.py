@@ -329,6 +329,19 @@ class TestNumericFallback:
             assert vi.tobytes() == v[i:i + 1].tobytes()
             assert fi.tobytes() == fv[i:i + 1].tobytes()
 
+    def test_closure_search_takes_blocks(self):
+        # 2500 coordinates go through in blocks of 1024: the shape never sees
+        # more than 17 x 1024 points at once, and each coordinate, at the block
+        # edges too, gets the bytes it gets alone
+        seen = []
+        fn = capped_pseudo_huber(seen=seen)
+        u = np.random.default_rng(23).uniform(-0.6, 0.6, size=2500)
+        out = prox_vector(fn, np.full(u.size, 2), 0.5, u)
+        assert max(x.size for x in seen) <= 17 * 1024
+        for i in [0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 2499, *range(3, 2500, 97)]:
+            alone = prox_vector(fn, [2], 0.5, u[i:i + 1])
+            assert alone.tobytes() == out[i:i + 1].tobytes(), i
+
 
 def signed_zero_edge():
     # piece 2 owns the jump at 0, so at u = -0.0 piece 1's candidate -0.0
