@@ -40,23 +40,65 @@ class Dataset:
             raise ValueError("classification labels must be exactly +-1")
 
 
-def spectral_norm(A: np.ndarray, iters: int = 100, tol: float = 1e-8) -> float:
-    """Largest singular value by power iteration on A^T A (deterministic start)."""
+# Largest min(n, d) whose Gram matrix is formed (8 * m^2 bytes, 18 MB here):
+# with the long side 10^4 the Gram path and 60 Lanczos steps cost the same
+# near m = 1500 (0.61 s against 0.68 s; 1.1 s against 0.89 s at m = 2000).
+_GRAM_CAP = 1500
+# Lanczos steps above the cap, and the chance the returned value is still low.
+_LANCZOS_STEPS = 60
+_FAIL_PROB = 1e-10
+
+
+def spectral_norm(A: np.ndarray) -> float:
+    """Largest singular value of A (exact, or an upper bound above the cap).
+
+    With m = min(n, d) at most ``_GRAM_CAP``, this is sqrt of the top
+    eigenvalue of the smaller Gram matrix (A^T A or A A^T): exact up to
+    rounding.  Above the cap it runs up to 60 Lanczos steps on the smaller
+    side from a seeded Gaussian start, with full reorthogonalization, and
+    returns sqrt(theta / (1 - eps)), theta the top Ritz value and
+    sqrt(eps) = ln(1.648 sqrt(m) / 1e-10) / (2k - 1), k = 60.  By
+    Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 1992) that is an
+    upper bound on sigma_max with probability at least 1 - 1e-10 over the
+    start; at m = 1000 it is about 3% above.  The start is fixed, so the
+    result is deterministic.
+    """
     A = np.asarray(A, dtype=float)
-    d = A.shape[1]
-    v = np.ones(d) / math.sqrt(d)
-    sigma = 0.0
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v_new = w / norm
-        sigma_new = math.sqrt(norm)
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1.0):
-            return sigma_new
-        v, sigma = v_new, sigma_new
-    return sigma
+    B = A if A.shape[1] <= A.shape[0] else A.T  # m = min(n, d) columns
+    m = B.shape[1]
+    if m <= _GRAM_CAP:
+        return math.sqrt(max(float(np.linalg.eigvalsh(B.T @ B)[-1]), 0.0))
+    theta = _lanczos_top(lambda v: B.T @ (B @ v), m)
+    root_eps = math.log(1.648 * math.sqrt(m) / _FAIL_PROB) / (2 * _LANCZOS_STEPS - 1)
+    return math.sqrt(theta / (1.0 - root_eps**2))
+
+
+def _lanczos_top(apply, m: int) -> float:
+    """Top Ritz value of the symmetric PSD operator ``apply`` on R^m.
+
+    Runs min(m, ``_LANCZOS_STEPS``) steps, fewer when the Krylov space turns
+    invariant (beta numerically zero).  Either way the space stops growing,
+    so the Ritz value equals the one ``_LANCZOS_STEPS`` steps would give.
+    """
+    Q = np.empty((_LANCZOS_STEPS, m))
+    q = np.random.default_rng(0).standard_normal(m)
+    q /= np.linalg.norm(q)
+    alphas, betas = [], []
+    for j in range(min(m, _LANCZOS_STEPS)):
+        Q[j] = q
+        w = apply(q)
+        alphas.append(float(q @ w))
+        # full reorthogonalization, twice for a numerically orthonormal basis
+        for _ in range(2):
+            w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= 1e-12 * max(alphas):
+            break
+        betas.append(beta)
+        q = w / beta
+    k = len(alphas)
+    T = np.diag(alphas) + np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
+    return max(float(np.linalg.eigvalsh(T)[-1]), 0.0)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -75,8 +117,13 @@ class SmoothLoss:
 
     kind ``least-squares``: g(x) = ||y - D x||^2, grad = 2 D^T (D x - y),
     L = 2 sigma_max(D)^2.  kind ``logistic``: g(x) = mean log(1 + exp(-y a^T x)),
-    grad = -mean y sigmoid(-y a^T x) a, L = sigma_max(A)^2 / (4 n).  Logistic
-    values take log(1 + exp(-m)) of each margin m as
+    grad = -mean y sigmoid(-y a^T x) a, L = sigma_max(A)^2 / (4 n).
+    sigma_max comes from ``spectral_norm``: exact up to rounding when
+    min(n, d) <= 1500 (the smaller Gram matrix), above that a Lanczos upper
+    bound about 3% high that holds with probability 1 - 1e-10.  So L bounds
+    the gradient's Lipschitz constant from above, and the default step
+    1 / (2 L) is at most 1 / (2 L_true).  Logistic values take
+    log(1 + exp(-m)) of each margin m as
     max(-m, 0) + log1p(exp(-|m|)), which never overflows and is the
     asymptotic linear branch -m for large negative margins.
 
@@ -120,12 +167,23 @@ class SmoothLoss:
 
     def gradient(self, x, Xx=None) -> np.ndarray:
         Xx = self._product(x, Xx)
-        X, y = self.data.features, self.data.labels
+        return self.data.features.T @ self._weights(Xx)
+
+    def gradients(self, P) -> np.ndarray:
+        """Gradients at the rows of P (k x d), as rows: one P @ X^T, one R @ X."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.data.d:
+            raise ValueError(f"P has shape {P.shape}, expected (k, {self.data.d})")
+        X = self.data.features
+        return self._weights(P @ X.T) @ X
+
+    def _weights(self, Xx: np.ndarray) -> np.ndarray:
+        """The r with gradient X^T r, from products X @ x along the last axis."""
+        y = self.data.labels
         if self.kind == "least-squares":
-            return 2.0 * (X.T @ (Xx - y))
+            return 2.0 * (Xx - y)
         margins = y * Xx
-        w = -y * _sigmoid(-margins) / self.data.n
-        return X.T @ w
+        return -y * _sigmoid(-margins) / self.data.n
 
     def lipschitz_bound(self) -> float:
         return self.lipschitz

@@ -579,6 +579,10 @@ def _residual(problem: Problem, x, grad, s: float) -> float:
     return float(np.linalg.norm(x - p) / s)
 
 
+# sample points per batched gradient call in estimate_G
+_G_CHUNK = 128
+
+
 def estimate_G(problem: Problem, x0, trace: Optional[Trace] = None,
                n_samples: int = 1000, seed: int = 0, safety: float = 1.5) -> float:
     """Empirical gradient bound over the inflated iterate box.
@@ -586,7 +590,8 @@ def estimate_G(problem: Problem, x0, trace: Optional[Trace] = None,
     Takes the coordinatewise hull of the observed iterates (just x0 when no
     trace is given), inflates it by the penalty's R0 on each side (no inflation
     when R0 is infinite), samples it with a seeded generator plus the corners,
-    and returns the max gradient norm scaled by ``safety``.
+    and returns the max gradient norm scaled by ``safety``.  The gradients are
+    taken ``_G_CHUNK`` points at a time by ``SmoothLoss.gradients``.
     """
     x0 = np.asarray(x0, dtype=float)
     pts = trace.iterates if trace is not None else x0[None, :]
@@ -596,12 +601,14 @@ def estimate_G(problem: Problem, x0, trace: Optional[Trace] = None,
     if math.isfinite(r0):
         lo = lo - r0
         hi = hi + r0
+
+    def top_norm(P):
+        return float(np.linalg.norm(problem.loss.gradients(P), axis=1).max(initial=0.0))
+
+    best = top_norm(np.stack([lo, hi, 0.5 * (lo + hi)]))
     rng = np.random.default_rng(seed)
-    unit = rng.random((n_samples, problem.d))
-    samples = lo[None, :] + unit * (hi - lo)[None, :]
-    best = 0.0
-    for p in (lo, hi, 0.5 * (lo + hi)):
-        best = max(best, float(np.linalg.norm(problem.loss.gradient(p))))
-    for row in samples:
-        best = max(best, float(np.linalg.norm(problem.loss.gradient(row))))
+    # chunks draw the same stream as one (n_samples, d) draw would
+    for start in range(0, n_samples, _G_CHUNK):
+        unit = rng.random((min(_G_CHUNK, n_samples - start), problem.d))
+        best = max(best, top_norm(lo + unit * (hi - lo)))
     return safety * best

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piecewise_prox import Dataset, least_squares, logistic_loss, smooth, spectral_norm
 
@@ -145,6 +147,19 @@ class TestLipschitz:
         A = rng.standard_normal((12, 7))
         assert spectral_norm(A) == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-7)
 
+    def test_gradients_rows_match_gradient(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((30, 5))
+        P = rng.uniform(-3, 3, size=(7, 5))
+        for loss in (least_squares(Dataset(X, rng.standard_normal(30))),
+                     logistic_loss(Dataset(X, rng.choice((-1.0, 1.0), size=30)))):
+            G = loss.gradients(P)
+            for row, p in zip(G, P):
+                g = loss.gradient(p)
+                assert np.linalg.norm(row - g) <= 1e-12 * np.linalg.norm(g)
+        with pytest.raises(ValueError, match="P has shape"):
+            loss.gradients(np.zeros(5))
+
     @pytest.mark.parametrize("kind,seed", [("least-squares", 3), ("logistic", 13)])
     def test_secant_ratios_below_bound(self, kind, seed):
         rng = np.random.default_rng(seed)
@@ -161,6 +176,83 @@ class TestLipschitz:
             num = np.linalg.norm(loss.gradient(x) - loss.gradient(y))
             den = np.linalg.norm(x - y)
             assert num <= L * den * (1.0 + 1e-9)
+
+
+def true_sigma(A):
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+def with_singular_values(rng, n, d, sv):
+    """An n x d matrix with singular values sv in Gaussian-drawn directions."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, len(sv))))
+    V, _ = np.linalg.qr(rng.standard_normal((d, len(sv))))
+    return (U * sv) @ V.T
+
+
+class TestSpectralNorm:
+    """spectral_norm is never below sigma_max, on both of its paths."""
+
+    def test_start_orthogonal_to_top_direction(self):
+        # the all-ones start of power iteration is in the null space here
+        assert spectral_norm(np.array([[1.0, -1.0], [1.0, -1.0], [0.0, 0.0]])) == pytest.approx(
+            2.0, rel=1e-12)
+
+    def test_tiled_rank_two(self):
+        A = np.tile([[3.0, -3.0], [0.1, 0.1]], (50, 1))
+        assert spectral_norm(A) == pytest.approx(30.0, rel=1e-12)
+
+    def test_zero_matrix(self):
+        assert spectral_norm(np.zeros((4, 3))) == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), d=st.integers(1, 12), rank=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_never_below_sigma(self, n, d, rank, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n, d)
+        A = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+        assert spectral_norm(A) >= true_sigma(A) * (1.0 - 1e-12)
+
+
+class TestLanczosPath:
+    """Above ``_GRAM_CAP``: a probabilistic upper bound, at most ~3% high."""
+
+    @pytest.fixture(autouse=True)
+    def no_gram(self, monkeypatch):
+        monkeypatch.setattr(smooth, "_GRAM_CAP", 0)
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(11)
+        return {
+            # 300 singular values in [0.95, 1]: 60 steps leave theta low
+            "flat": with_singular_values(rng, 400, 300, np.linspace(1.0, 0.95, 300)),
+            "rank-1": np.outer(rng.standard_normal(250), rng.standard_normal(400)),
+            "gap": with_singular_values(rng, 300, 500, np.r_[3.0, np.linspace(1.0, 0.1, 299)]),
+        }
+
+    @pytest.mark.parametrize("name", ["flat", "rank-1", "gap"])
+    def test_upper_bound_within_five_percent(self, name):
+        A = self.matrices()[name]
+        sigma = true_sigma(A)
+        got = spectral_norm(A)
+        assert sigma <= got <= 1.05 * sigma
+        assert np.float64(spectral_norm(A)).tobytes() == np.float64(got).tobytes()
+
+    def test_rank_one_breaks_down(self):
+        A = self.matrices()["rank-1"]
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return A @ (A.T @ v)
+
+        theta = smooth._lanczos_top(apply, A.shape[0])
+        assert len(calls) == 2
+        assert theta == pytest.approx(true_sigma(A) ** 2, rel=1e-12)
+
+    def test_zero_matrix(self):
+        assert spectral_norm(np.zeros((40, 30))) == 0.0
 
 
 class TestConvexity:

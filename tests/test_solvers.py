@@ -514,6 +514,46 @@ class TestEstimateG:
         assert g2 >= g1
 
 
+    @pytest.mark.parametrize("kind", ["least-squares", "logistic"])
+    def test_matches_per_row_loop(self, kind):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((40, 6))
+        if kind == "logistic":
+            loss = logistic_loss(Dataset(X, rng.choice((-1.0, 1.0), size=40)))
+        else:
+            loss = least_squares(Dataset(X, rng.standard_normal(40)))
+        prob = Problem(loss, capped_l1(0.2, 1.0))
+        trace = ppgd(prob, rng.standard_normal(6), K=20)
+        # the per-point loop estimate_G ran before it batched its gradients
+        lo = trace.iterates.min(axis=0) - prob.min_r0()
+        hi = trace.iterates.max(axis=0) + prob.min_r0()
+        unit = np.random.default_rng(0).random((300, 6))
+        points = [lo, hi, 0.5 * (lo + hi), *(lo + unit * (hi - lo))]
+        expect = 1.5 * max(float(np.linalg.norm(loss.gradient(p))) for p in points)
+        got = estimate_G(prob, trace.iterates[0], trace=trace, n_samples=300)
+        assert got == pytest.approx(expect, rel=1e-12)
+
+
+class TestTiledDesign:
+    """[[3, -3], [0.1, 0.1]] tiled 50 times: sigma_max = 30 with a top right
+    singular vector orthogonal to the all-ones vector."""
+
+    @staticmethod
+    def problem():
+        X = np.tile([[3.0, -3.0], [0.1, 0.1]], (50, 1))
+        return Problem(least_squares(Dataset(X, np.ones(100))), capped_l1(1.0, 1.0))
+
+    def test_pgd_does_not_diverge(self):
+        trace = pgd(self.problem(), np.array([1.0, 0.0]))
+        assert np.all(np.diff(trace.objective) <= 1e-12)
+
+    def test_ppgd_leaves_the_start(self):
+        prob = self.problem()
+        x0 = np.array([1.0, 0.0])
+        assert prob.objective(x0) == pytest.approx(241.5, rel=1e-12)
+        assert ppgd(prob, x0).objective[-1] < 241.5
+
+
 class TestMixedPenalties:
     def test_per_coordinate_penalties(self):
         rng = np.random.default_rng(4)
