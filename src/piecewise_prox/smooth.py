@@ -40,9 +40,13 @@ class Dataset:
             raise ValueError("classification labels must be exactly +-1")
 
 
-# Largest min(n, d) whose Gram matrix is formed (8 * m^2 bytes, 18 MB here):
-# with the long side 10^4 the Gram path and 60 Lanczos steps cost the same
-# near m = 1500 (0.61 s against 0.68 s; 1.1 s against 0.89 s at m = 2000).
+# Largest min(n, d) whose Gram matrix is formed (8 * m^2 bytes, 18 MB here).
+# An estimate, not a benchmarked choice: no benchmark workload has min(n, d)
+# above it, so the Lanczos path below runs only in tests.  Timed on Gaussian
+# matrices alone, the two paths cost the same near m = 1500 with the long
+# side 10^4, but the crossover moves with the long side: Lanczos was faster
+# at every m from 1000 to 2000 with it 3000, Gram at every such m with it
+# 3 * 10^4.
 _GRAM_CAP = 1500
 # Lanczos steps above the cap, and the chance the returned value is still low.
 _LANCZOS_STEPS = 60
@@ -64,6 +68,8 @@ def spectral_norm(A: np.ndarray) -> float:
     result is deterministic.
     """
     A = np.asarray(A, dtype=float)
+    if A.size == 0:
+        return 0.0
     B = A if A.shape[1] <= A.shape[0] else A.T  # m = min(n, d) columns
     m = B.shape[1]
     if m <= _GRAM_CAP:
@@ -169,11 +175,8 @@ class SmoothLoss:
         Xx = self._product(x, Xx)
         return self.data.features.T @ self._weights(Xx)
 
-    def gradients(self, P) -> np.ndarray:
+    def _gradients(self, P: np.ndarray) -> np.ndarray:
         """Gradients at the rows of P (k x d), as rows: one P @ X^T, one R @ X."""
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[1] != self.data.d:
-            raise ValueError(f"P has shape {P.shape}, expected (k, {self.data.d})")
         X = self.data.features
         return self._weights(P @ X.T) @ X
 

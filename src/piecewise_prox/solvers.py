@@ -591,7 +591,7 @@ def estimate_G(problem: Problem, x0, trace: Optional[Trace] = None,
     trace is given), inflates it by the penalty's R0 on each side (no inflation
     when R0 is infinite), samples it with a seeded generator plus the corners,
     and returns the max gradient norm scaled by ``safety``.  The gradients are
-    taken ``_G_CHUNK`` points at a time by ``SmoothLoss.gradients``.
+    taken ``_G_CHUNK`` points at a time by ``SmoothLoss._gradients``.
     """
     x0 = np.asarray(x0, dtype=float)
     pts = trace.iterates if trace is not None else x0[None, :]
@@ -603,7 +603,7 @@ def estimate_G(problem: Problem, x0, trace: Optional[Trace] = None,
         hi = hi + r0
 
     def top_norm(P):
-        return float(np.linalg.norm(problem.loss.gradients(P), axis=1).max(initial=0.0))
+        return float(np.linalg.norm(problem.loss._gradients(P), axis=1).max(initial=0.0))
 
     best = top_norm(np.stack([lo, hi, 0.5 * (lo + hi)]))
     rng = np.random.default_rng(seed)
