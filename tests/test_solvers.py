@@ -30,6 +30,7 @@ from piecewise_prox import (
     project_piecewise,
     stationarity_residual,
     surrogate_objective,
+    synth,
     tk_next,
     zero_penalty,
 )
@@ -317,6 +318,26 @@ class TestPpgd:
         prob = one_d_problem()
         trace = ppgd(prob, np.zeros(1), s=0.5, K=150)
         assert np.all(np.diff(trace.objective) <= 1e-12)
+
+    def test_row_order_does_not_pick_the_path(self):
+        # the same problem with its rows shuffled: sums round differently, and
+        # the to-tolerance solve ends at a plateau where F moves by ulps.  With
+        # an exact guard this took 100, 111 or 112 iterations by row order.
+        data, _ = synth("classification", n=10000, d=64, sparsity=0.0625, noise=0.5,
+                        seed=1, feature_scale=2.0)
+        lengths = set()
+        for seed in range(1, 11):
+            rows = np.random.default_rng(seed).permutation(data.n)
+            prob = Problem(logistic_loss(Dataset(data.features[rows], data.labels[rows])),
+                           capped_l1(0.2, 0.4))
+            trace = ppgd(prob, np.zeros(64), K=1000, stop_tol=1e-8, record_timing=False)
+            lengths.add(len(trace.k))
+        assert len(lengths) == 1, sorted(lengths)
+
+    def test_guard_passes_a_rise_within_rounding(self):
+        F_x = 0.5480703234715039
+        assert solvers._no_worse(F_x + 2 * np.spacing(F_x), F_x)
+        assert not solvers._no_worse(F_x * (1 + 1e-14), F_x)
 
     def test_transition_bookkeeping(self):
         prob = one_d_problem()
