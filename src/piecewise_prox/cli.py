@@ -164,29 +164,32 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_prox_check(args) -> int:
-    from .kernels import (hard_threshold_kernel, identity_kernel,
-                          indicator_snap_kernel, linear_shift_kernel,
-                          soft_threshold_kernel)
-    from .prox import minimizer_halfwidth, prox_oracle
+    from .piecewise import (Affine, PieceSpec, build_piecewise, indicator_penalty,
+                            l0_penalty, l1_penalty, zero_penalty)
+    from .prox import minimizer_halfwidth, prox_oracle, prox_surrogate
 
+    # each --kernel name is a built-in surrogate, checked against an
+    # independent definition of the same function
     if args.kernel == "identity":
-        kernel, f, slope_bound, jumps = identity_kernel(), lambda v: np.zeros_like(v), 0.0, ()
+        sur, f, slope_bound, jumps = (zero_penalty().surrogate(1),
+                                      lambda v: np.zeros_like(v), 0.0, ())
     elif args.kernel == "soft-threshold":
         lam = args.lam
-        kernel, f, slope_bound, jumps = (soft_threshold_kernel(lam),
-                                         lambda v: lam * np.abs(v), lam, ())
+        sur, f, slope_bound, jumps = (l1_penalty(lam).surrogate(1),
+                                      lambda v: lam * np.abs(v), lam, ())
     elif args.kernel == "linear-shift":
         c = args.slope
-        kernel, f, slope_bound, jumps = (linear_shift_kernel(c),
-                                         lambda v: c * np.asarray(v, dtype=float), abs(c), ())
+        line = build_piecewise([PieceSpec(-math.inf, math.inf, Affine(c, 0.0))], [])
+        sur, f, slope_bound, jumps = (line.surrogate(1),
+                                      lambda v: c * np.asarray(v, dtype=float), abs(c), ())
     elif args.kernel == "indicator-snap":
         lam, tau = args.lam, args.tau
-        kernel = indicator_snap_kernel(lam, tau, high_side=-1)
+        sur = indicator_penalty(lam, tau).surrogate(2)
         f = lambda v: lam * (np.asarray(v, dtype=float) < tau)  # noqa: E731
         slope_bound, jumps = 0.0, (tau,)
     else:
         lam = args.lam
-        kernel = hard_threshold_kernel(0.0, lam, lam)
+        sur = l0_penalty(lam).surrogate(2)
         f = lambda v: lam * (np.asarray(v, dtype=float) != 0.0)  # noqa: E731
         slope_bound, jumps = 0.0, (0.0,)
 
@@ -195,7 +198,7 @@ def _cmd_prox_check(args) -> int:
     print("x,closed_form,oracle,gap")
     jump_bound = args.lam if jumps else 0.0
     for x in xs:
-        closed = kernel.prox(float(x), args.s)
+        closed = prox_surrogate(sur, args.s, float(x))
         hw = minimizer_halfwidth(slope_bound, jump_bound, jumps, args.s, float(x))
         orac = prox_oracle(f, args.s, float(x), hw, args.resolution)
         psi = lambda v: (v - x) ** 2 / (2 * args.s) + float(f(np.asarray(v)))  # noqa: E731

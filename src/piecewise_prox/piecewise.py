@@ -28,8 +28,10 @@ piece and extends outside it with the simplest compatible structure: linearly
 through the breakpoint value when the penalty is continuous there, linearly
 through the one-sided limit when the piece does not own a discontinuous
 breakpoint, and as the constant far-side limit when it does (the nonconvex
-case).  Surrogates carry a closed-form prox kernel whenever their global shape
-matches a registered family.
+case).  Every built-in shape has a closed-form ``prox(u, s)``, the minimizer
+of (1/2s)(v - u)^2 + shape(v) over the whole line; ``prox`` builds each
+surrogate's prox from it and the surrogate's wing data.  A ``CustomShape``
+has none and takes a grid search on its piece's closure.
 """
 
 from __future__ import annotations
@@ -43,16 +45,6 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from .kernels import (
-    ProxKernel,
-    hard_threshold_kernel,
-    identity_kernel,
-    indicator_snap_kernel,
-    linear_shift_kernel,
-    quadratic_kernel,
-    soft_threshold_kernel,
-)
 
 __all__ = [
     "Constant",
@@ -95,7 +87,7 @@ class PiecewiseBuildError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# shapes
+# shapes: each but CustomShape has prox(u, s) = argmin_v (1/2s)(v - u)^2 + shape(v)
 # ---------------------------------------------------------------------------
 
 
@@ -107,6 +99,9 @@ class Constant:
 
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.c)
+
+    def prox(self, u, s: float):
+        return u
 
     def one_sided_slope(self, q: float, side: int) -> float:
         return 0.0
@@ -131,6 +126,9 @@ class Affine:
     def __call__(self, x):
         return self.slope * np.asarray(x, dtype=float) + self.intercept
 
+    def prox(self, u, s: float):
+        return u - s * self.slope
+
     def one_sided_slope(self, q: float, side: int) -> float:
         return self.slope
 
@@ -152,6 +150,10 @@ class ScaledAbs:
 
     def __call__(self, x):
         return self.scale * np.abs(np.asarray(x, dtype=float))
+
+    def prox(self, u, s: float):
+        # soft threshold; the + 0.0 turns a -0.0 result into 0.0
+        return np.sign(u) * np.maximum(np.abs(u) - self.scale * s, 0.0) + 0.0
 
     def one_sided_slope(self, q: float, side: int) -> float:
         # side=+1: limit from the right of q, side=-1: from the left.
@@ -180,6 +182,9 @@ class Quadratic:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return (self.a * x + self.b) * x + self.c
+
+    def prox(self, u, s: float):
+        return (u - s * self.b) / (1.0 + 2.0 * self.a * s)
 
     def one_sided_slope(self, q: float, side: int) -> float:
         if not math.isfinite(q):
@@ -384,7 +389,6 @@ class SurrogateFn:
     left_slope: float = 0.0
     right_value: float = math.nan
     right_slope: float = 0.0
-    kernel: Optional[ProxKernel] = None
 
     @property
     def piece(self) -> Piece:
@@ -541,45 +545,7 @@ def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
             case, value, slope = CASE_CONSTANT_LIMIT, far, 0.0
         kw.update({f"{side}_case": case, f"{side}_value": value, f"{side}_slope": slope})
 
-    sur = SurrogateFn(source=fn, m=m, **kw)
-    kernel = _detect_kernel(sur)
-    if kernel is not None:
-        sur = SurrogateFn(source=fn, m=m, kernel=kernel, **kw)
-    return sur
-
-
-def _detect_kernel(sur: SurrogateFn) -> Optional[ProxKernel]:
-    p = sur.piece
-    shape = p.shape
-    lc, rc = sur.left_case, sur.right_case
-    linear_cases = (CASE_NONE, CASE_CONTINUOUS_LINEAR, CASE_LIMIT_LINEAR)
-
-    if p.is_point and lc == CASE_CONSTANT_LIMIT and rc == CASE_CONSTANT_LIMIT:
-        c = p.value_left
-        return hard_threshold_kernel(p.left, sur.left_value - c, sur.right_value - c)
-
-    if isinstance(shape, Constant):
-        if lc in linear_cases and rc in linear_cases:
-            return identity_kernel()
-        if lc == CASE_CONSTANT_LIMIT and rc in (CASE_NONE,):
-            return indicator_snap_kernel(sur.left_value - shape.c, p.left, high_side=-1)
-        if rc == CASE_CONSTANT_LIMIT and lc in (CASE_NONE,):
-            return indicator_snap_kernel(sur.right_value - shape.c, p.right, high_side=+1)
-        return None
-
-    if isinstance(shape, Affine) and lc in linear_cases and rc in linear_cases:
-        return linear_shift_kernel(shape.slope)
-
-    if isinstance(shape, ScaledAbs) and lc in linear_cases and rc in linear_cases:
-        if p.left < 0.0 < p.right:
-            return soft_threshold_kernel(shape.scale)
-        sign = 1.0 if p.left >= 0.0 else -1.0
-        return linear_shift_kernel(sign * shape.scale)
-
-    if isinstance(shape, Quadratic) and lc == CASE_NONE and rc == CASE_NONE:
-        return quadratic_kernel(shape.a, shape.b)
-
-    return None
+    return SurrogateFn(source=fn, m=m, **kw)
 
 
 # ---------------------------------------------------------------------------

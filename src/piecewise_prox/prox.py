@@ -1,16 +1,20 @@
 """Proximal maps for surrogate penalties, plus a brute-force grid oracle.
 
-``prox_surrogate`` dispatches to the surrogate's registered closed-form kernel
-and otherwise takes the best of a grid-section search on the piece closure
-and the closed-form minimizers of its affine or constant wings.
-``prox_vector`` does so for one penalty's coordinates, one array call per
-piece present.  ``prox_true`` is the exact prox of the full penalty; it values
-each candidate once, by the piece that produced it.  All of them break ties
-with the library rule (``_pick_columns``).  Every grid-section search runs on
-all of its brackets at once (``_section_min``): each round samples a fixed
-17-point grid across every bracket and keeps the two cells around the least
-sample, until the bracket is at most 1e-12 wide; a closure search takes at
-most 1024 brackets per call.
+``_surrogate_prox`` is the one prox rule for a surrogate.  Its closure
+candidate is the point itself on a single-point piece, the shape's closed-form
+``prox`` clipped to the closure, or, for a custom shape, a grid-section search
+on the closure.  A convex surrogate (no constant-limit wing) takes a wing's own
+minimizer where it lies strictly beyond that wing's edge; a nonconvex one keeps
+the best of the closure candidate and each wing minimizer that lies on its
+wing.  ``prox_surrogate`` applies it at one point, ``prox_vector`` to one
+penalty's coordinates, one array call per piece present.  ``prox_true`` is the
+exact prox of the full penalty: each piece's closure candidate and every
+breakpoint, each valued once by the piece that produced it.  Ties go to the
+library rule (``_pick_columns``).  Every grid-section search runs on all of its
+brackets at once (``_section_min``): each round samples a fixed 17-point grid
+across every bracket and keeps the two cells around the least sample, until
+the bracket is at most 1e-12 wide; a closure search takes at most 1024
+brackets per call.
 ``prox_oracle`` is an independent ground-truth used by tests: a dense grid
 argmin refined by one grid-section pass per local basin, with its own scalar
 search (``_section_scalar``).  The two routes are kept separate so each can
@@ -24,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .piecewise import CASE_NONE, PiecewiseFn, SurrogateFn
+from .piecewise import CASE_NONE, CustomShape, PiecewiseFn, SurrogateFn
 
 __all__ = [
     "ProxError",
@@ -108,8 +112,8 @@ def _pick_columns(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
     Among the rows that reach the column's least psi it keeps the smaller |v|,
     then the smaller v, then the earlier row, which is what folding
-    ``kernels.tie_break`` over those rows in order returns (0.0 and -0.0 tie,
-    so the earlier wins).  psi must not contain NaN.
+    ``min(a, b, key=lambda v: (abs(v), v))`` over those rows in order returns
+    (0.0 and -0.0 tie, so the earlier wins).  psi must not contain NaN.
     """
     ok = psi == psi.min(axis=0)
     mag = np.where(ok, np.abs(cands), np.inf)
@@ -119,11 +123,16 @@ def _pick_columns(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return cands[ok.argmax(axis=0), np.arange(cands.shape[1])]
 
 
+def _check_nan(bad: np.ndarray, coords) -> None:
+    """Raise ProxError naming the coordinate of the first column marked ``bad``."""
+    if bad.any():
+        raise ProxError(f"coordinate {int(coords[bad.argmax()])}: "
+                        "NaN objective among the prox candidates")
+
+
 def _pick_checked(cands: np.ndarray, psi: np.ndarray, coords) -> np.ndarray:
     """``_pick_columns``, but a NaN psi raises ProxError naming its column's coords."""
-    if np.isnan(psi).any():
-        col = np.isnan(psi).any(axis=0).argmax()
-        raise ProxError(f"coordinate {int(coords[col])}: NaN objective among the prox candidates")
+    _check_nan(np.isnan(psi).any(axis=0), coords)
     return _pick_columns(cands, psi)
 
 
@@ -137,35 +146,74 @@ def prox_surrogate(f_m: SurrogateFn, s: float, x: float) -> float:
     """Global minimizer of (1/2s)(v - x)^2 + f_m(v), deterministic under ties."""
     if s <= 0:
         raise ValueError("step size s must be positive")
-    if f_m.kernel is not None:
-        return f_m.kernel.prox(float(x), s)
-    return float(_surrogate_prox(f_m, s, np.array([float(x)]), (0,))[0])
+    return float(_surrogate_prox(f_m, s, np.array([float(x)]), np.arange(1))[0])
 
 
 def _surrogate_prox(sur: SurrogateFn, s: float, u: np.ndarray, coords) -> np.ndarray:
-    """Prox at each u of a kernel-less surrogate: the best of the closure
-    minimizer and each affine or constant wing's minimizer clipped to the
-    wing.  At a clipped edge the surrogate takes the piece's own value, which
-    lower semicontinuity keeps at or below the wing's limit, so the clip is
-    exact.  ``coords`` names u's coordinates in errors."""
+    """Prox at each u of a surrogate, from its closure candidate and each
+    wing's own minimizer u - s * slope where that lies strictly beyond the
+    wing's edge.  A convex surrogate takes such a wing minimizer outright.  A
+    nonconvex one keeps the best of them and the closure candidate by the
+    library tie rule, where a wing minimizer off its wing stands in as the
+    closure candidate; the rule runs only where some wing minimizer on its
+    wing is not worse than the closure candidate, or a psi is NaN, since
+    elsewhere it keeps the closure candidate.  ``coords`` names u's
+    coordinates in errors."""
     p = sur.piece
-    rows = [_closure_prox(sur, s, u, p.left, p.right)]
+    v = _closure_candidate(sur, s, u, coords)
+    wings = []  # (minimizer, where it lies beyond the edge, the wing's value there)
     if sur.left_case != CASE_NONE:
-        rows.append(np.minimum(u - s * sur.left_slope, p.left))
+        w = u - s * sur.left_slope
+        wings.append((w, w < p.left, lambda x: sur.left_value + sur.left_slope * (x - p.left)))
     if sur.right_case != CASE_NONE:
-        rows.append(np.maximum(u - s * sur.right_slope, p.right))
-    cands = np.stack(rows)
-    psi = _objective(lambda v: sur(v.ravel()).reshape(v.shape), s, u)(cands)
-    return _pick_checked(cands, psi, coords)
+        w = u - s * sur.right_slope
+        wings.append((w, w > p.right, lambda x: sur.right_value + sur.right_slope * (x - p.right)))
+    if sur.is_convex:
+        for w, beyond, _ in wings:
+            np.copyto(v, w, where=beyond)
+        return v
+    psi_v = _objective(p.shape, s, u)(v)
+    live, contenders = np.isnan(psi_v), []
+    for w, beyond, f in wings:
+        psi = _objective(f, s, u)(w)
+        live |= beyond & ~(psi > psi_v)
+        contenders.append((w, psi, beyond))
+    live = np.flatnonzero(live)
+    if live.size:
+        v_, psi_v_ = v[live], psi_v[live]
+        cands, psis = [v_], [psi_v_]
+        for w, psi, beyond in contenders:
+            on = beyond[live]
+            cands.append(np.where(on, w[live], v_))
+            psis.append(np.where(on, psi[live], psi_v_))
+        v[live] = _pick_checked(np.stack(cands), np.stack(psis), coords[live])
+    return v
 
 
-def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _closure_candidate(sur: SurrogateFn, s: float, u: np.ndarray, coords) -> np.ndarray:
+    """Minimizer at each u of (1/2s)(v - u)^2 + sur(v) over its piece's
+    closure: the point itself on a single-point piece (a clip, which keeps
+    u = -0.0 at q = 0), the shape's closed-form prox clipped to the closure,
+    or a custom shape's grid-section search."""
+    p = sur.piece
+    if p.is_point:
+        return np.clip(u, p.left, p.right)
+    if isinstance(p.shape, CustomShape):
+        return _closure_prox(sur, s, u, p.left, p.right, coords)
+    return np.clip(p.shape.prox(u, s), p.left, p.right)
+
+
+def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: float,
+                  coords) -> np.ndarray:
     """Minimizer at each u of (1/2s)(v - u)^2 + sur(v) over the closure
     [lo, hi], where sur is its convex piece's shape: a grid-section search on
     the closure cut to the reach u +- hw, against the finite edges, or the
-    nearer edge where the reach misses the closure."""
+    nearer edge where the reach misses the closure.  A NaN u raises
+    ProxError naming its coordinate."""
+    _check_nan(np.isnan(u), coords)
     if u.size > _BLOCK:  # blocks of coordinates bound the search's 17 x k temporaries
-        return np.concatenate([_closure_prox(sur, s, u[i:i + _BLOCK], lo, hi)
+        return np.concatenate([_closure_prox(sur, s, u[i:i + _BLOCK], lo, hi,
+                                             coords[i:i + _BLOCK])
                                for i in range(0, u.size, _BLOCK)])
     hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, 0.0)
     a, b = np.maximum(lo, u - hw), np.minimum(hi, u + hw)
@@ -250,9 +298,10 @@ def prox_vector(fn: PiecewiseFn, assignment, s: float, u: np.ndarray) -> np.ndar
     """Coordinatewise prox of the surrogates of one penalty.
 
     Coordinate i of u takes the prox of ``fn.surrogate(assignment[i])``, with
-    1-based piece indices.  Each piece present gets one array call on its
-    coordinates: its closed-form kernel, or the kernel-less surrogate prox.
-    Only a NaN objective raises ProxError, naming the first such coordinate.
+    1-based piece indices.  Each piece present gets one array call of
+    ``_surrogate_prox`` on its coordinates.  Only a NaN objective raises
+    ProxError, naming the first such coordinate: a NaN u on a custom shape,
+    or a NaN among the candidates a nonconvex surrogate values.
     """
     u = np.asarray(u, dtype=float)
     assignment = np.asarray(assignment)
@@ -264,21 +313,17 @@ def prox_vector(fn: PiecewiseFn, assignment, s: float, u: np.ndarray) -> np.ndar
         sel = np.flatnonzero(assignment == m)
         if not sel.size:
             continue
-        sur = fn.surrogate(m)
-        if sur.kernel is not None:
-            out[sel] = sur.kernel.prox(u[sel], s)
-        else:
-            out[sel] = _surrogate_prox(sur, s, u[sel], sel)
+        out[sel] = _surrogate_prox(fn.surrogate(m), s, u[sel], sel)
     return out
 
 
 def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
     """Exact prox of the full penalty, coordinatewise.
 
-    Enumerates, per piece, the surrogate prox clamped to the piece closure,
+    Enumerates, per piece, its closure candidate (see ``_surrogate_prox``),
     plus every finite breakpoint, and keeps the candidate minimizing the true
     objective (ties broken by the library rule).  Restricted to a closure each
-    surrogate is continuous and convex, so the clamp is exact there.  A
+    shape is continuous and convex, so the clipped closed form is exact there.  A
     candidate takes its piece's shape, or the owner's f(q) on a breakpoint
     row or an edge its piece does not own, as the membership rule values it.
     """
@@ -289,12 +334,11 @@ def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
     cands = np.empty((fn.n_pieces + q.size, u.size))
     values = np.empty_like(cands)
     cands[fn.n_pieces:], values[fn.n_pieces:] = q[:, None], fq[:, None]
+    coords = np.arange(u.size)
     for m, (p, (edges, edge_values)) in enumerate(zip(fn.pieces, unowned), 1):
-        sur = fn.surrogate(m)
-        v = (np.clip(sur.kernel.prox(u, s), p.left, p.right) if sur.kernel is not None
-             else _closure_prox(sur, s, u, p.left, p.right))
+        v = _closure_candidate(fn.surrogate(m), s, u, coords)
         cands[m - 1], values[m - 1] = v, p.shape(v)
         for e, fe in zip(edges, edge_values):
             np.copyto(values[m - 1], fe, where=v == e)
     psi = (cands - u) ** 2 / (2.0 * s) + values
-    return _pick_checked(cands, psi, np.arange(u.size))
+    return _pick_checked(cands, psi, coords)

@@ -84,6 +84,9 @@ class Problem:
                 raise ValueError(f"need {d} per-coordinate penalties, got {len(fns)}")
             by_fn: dict[PiecewiseFn, list[int]] = {}  # PiecewiseFn hashes by identity
             for i, fn in enumerate(fns):
+                if not isinstance(fn, PiecewiseFn):
+                    raise TypeError(f"penalty of coordinate {i} is {type(fn).__name__}, "
+                                    "not a PiecewiseFn")
                 by_fn.setdefault(fn, []).append(i)
             groups = tuple((fn, np.asarray(ix, dtype=np.intp)) for fn, ix in by_fn.items())
         object.__setattr__(self, "_groups", groups)

@@ -48,9 +48,10 @@ def _objective(f, s, x, v):
 
 
 def test_criterion_1_prox_oracle_suite():
-    # Each entry pairs a built-in surrogate with an independently written
-    # closed-form definition of the same function for the grid oracle.
-    kernels = [
+    # Each entry pairs a built-in surrogate whose shape has a closed-form prox
+    # with an independently written definition of the same function for the
+    # grid oracle; the names are the old closed-form kernels'.
+    surrogates = [
         ("identity", capped_l1(0.2, 1.0).surrogate(1),
          lambda v: np.full_like(np.asarray(v, float), 0.2), 0.0, 0.0, ()),
         ("soft-threshold", capped_l1(0.2, 1.0).surrogate(2),
@@ -65,8 +66,8 @@ def test_criterion_1_prox_oracle_suite():
     tic = time.perf_counter()
     rng = np.random.default_rng(2024)
     checked = 0
-    for name, sur, f_ref, slope, jump, jumps in kernels:
-        assert sur.kernel is not None and sur.kernel.kind == name
+    for name, sur, f_ref, slope, jump, jumps in surrogates:
+        assert callable(getattr(sur.piece.shape, "prox", None)), name
         # the independent definition agrees with the surrogate pointwise
         probe = np.linspace(-10, 10, 1001)
         assert np.allclose(sur(probe), f_ref(probe), atol=1e-12)
@@ -81,7 +82,7 @@ def test_criterion_1_prox_oracle_suite():
             checked += 1
     elapsed = time.perf_counter() - tic
     assert elapsed < 10.0, f"prox oracle suite took {elapsed:.1f}s"
-    report(1, f"{checked} draws across {len(kernels)} kernels in {elapsed:.1f}s")
+    report(1, f"{checked} draws across {len(surrogates)} closed forms in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ class TestCertify:
 
 
 class TestProxCheck:
-    @pytest.mark.parametrize("kernel", ["soft-threshold", "indicator-snap", "hard-threshold"])
+    @pytest.mark.parametrize("kernel", ["identity", "soft-threshold", "linear-shift",
+                                        "indicator-snap", "hard-threshold"])
     def test_table_and_gap(self, kernel, capsys):
         code, out, err = run_cli(
             ["prox-check", "--kernel", kernel, "--lam", "0.5", "--s", "0.3",

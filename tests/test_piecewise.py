@@ -19,6 +19,7 @@ from piecewise_prox import (
     l0_penalty,
     l1_penalty,
     leaky_capped_l1,
+    prox_vector,
     to_json,
     zero_penalty,
 )
@@ -339,7 +340,9 @@ class TestSurrogates:
         grid = np.linspace(-7, 7, 301)
         # the linear extension equals 0.2|x| mathematically; last-ulp rounding differs
         assert np.allclose(f2(grid), 0.2 * np.abs(grid), rtol=0, atol=1e-14)
-        assert f2.kernel.kind == "soft-threshold"
+        # so its prox is the soft threshold on the whole line, wings included
+        soft = np.sign(grid) * np.maximum(np.abs(grid) - 0.2 * 0.5, 0.0) + 0.0
+        assert prox_vector(fn, np.full(grid.size, 2), 0.5, grid).tobytes() == soft.tobytes()
 
     def test_capped_outer_is_constant(self):
         fn = capped_l1(0.2, 1.0)

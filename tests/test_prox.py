@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +23,9 @@ from piecewise_prox import (
     prox_vector,
     zero_penalty,
 )
-from piecewise_prox.kernels import hard_threshold_kernel, indicator_snap_kernel, tie_break
-from piecewise_prox.piecewise import Affine, Constant
+from piecewise_prox.piecewise import Affine, Constant, ScaledAbs
 from piecewise_prox.prox import (
-    _closure_prox,
+    _closure_candidate,
     _pick,
     _pick_checked,
     _pick_columns,
@@ -36,6 +36,12 @@ from piecewise_prox.prox import (
 
 def objective(f, s, x, v):
     return (v - x) ** 2 / (2.0 * s) + float(f(np.asarray(v, dtype=float)))
+
+
+def tie_break(a: float, b: float) -> float:
+    """The library tie rule between two global minimizers: smaller |v| first,
+    then smaller v."""
+    return min(a, b, key=lambda v: (abs(v), v))
 
 
 class TestClosedForms:
@@ -191,7 +197,8 @@ class TestVector:
 
 
 def linear_wings():
-    # quadratic bowl piece between affine wings: no registered closed form
+    # quadratic bowl piece between affine pieces: its surrogate is the
+    # quadratic's closed form on [-1, 1] and linear wings beyond
     return build_piecewise(
         [
             PieceSpec(-math.inf, -1.0, Affine(-1.0, 0.0)),
@@ -241,7 +248,7 @@ class TestNumericFallback:
     @pytest.fixture(params=[(linear_wings, 0.0, ()), (constant_limit_wing, 1.0, (0.0,))],
                     ids=["linear-wings", "constant-limit-wing"])
     def fn_without_kernels(self, request):
-        """A penalty whose middle surrogate has no kernel, with that
+        """A penalty whose middle surrogate has a wing on each side, with that
         surrogate's jump bound and jump points for the oracle bracket."""
         make, jump, jumps = request.param
         return make(), jump, jumps
@@ -249,7 +256,7 @@ class TestNumericFallback:
     def test_middle_surrogate_numeric_prox_matches_oracle(self, fn_without_kernels):
         fn, jump, jumps = fn_without_kernels
         f2 = fn.surrogate(2)
-        assert f2.kernel is None
+        assert "none" not in (f2.left_case, f2.right_case)
         rng = np.random.default_rng(3)
         for _ in range(60):
             s = rng.uniform(1e-2, 1.0)
@@ -370,12 +377,8 @@ def mixed_tag_point():
 
 def prox_true_by_membership(fn, s, u):
     """prox_true's candidates valued through fn.evaluate, the membership rule."""
-    rows = []
-    for m in range(1, fn.n_pieces + 1):
-        sur = fn.surrogate(m)
-        lo, hi = fn.piece_bounds(m)
-        rows.append(np.clip(sur.kernel.prox(u, s), lo, hi) if sur.kernel is not None
-                    else _closure_prox(sur, s, u, lo, hi))
+    coords = np.arange(u.size)
+    rows = [_closure_candidate(fn.surrogate(m), s, u, coords) for m in range(1, fn.n_pieces + 1)]
     rows += [np.full(u.shape, q) for q in sorted({e.value for e in fn.endpoints})]
     cands = np.stack(rows)
     return _pick_checked(cands, (cands - u) ** 2 / (2.0 * s) + fn.evaluate(cands),
@@ -452,7 +455,54 @@ class TestProxTrue:
             prox_true(make(), 0.5, np.array([0.3, bad]))
 
 
+def point_penalty(q, jump_left, jump_right):
+    """0 at the single point q, jump_left below it and jump_right above it."""
+    return build_piecewise(
+        [
+            PieceSpec(-math.inf, q, Constant(jump_left)),
+            PieceSpec(q, q, Constant(0.0)),
+            PieceSpec(q, math.inf, Constant(jump_right)),
+        ],
+        ["isolated", "isolated"],
+    )
+
+
+def step_penalty(jump, tau, high_side):
+    """jump on the side ``high_side`` of tau, 0 on the other and at tau; the
+    piece that holds tau is returned with the penalty."""
+    if high_side < 0:
+        return indicator_penalty(jump, tau), 2
+    return build_piecewise([PieceSpec(-math.inf, tau, Constant(0.0)),
+                            PieceSpec(tau, math.inf, Constant(jump))], ["left-only"]), 1
+
+
+def exact_psi(f, s, u, v):
+    """(v - u)^2 / (2s) + f(v), valued exactly."""
+    return (Fraction(v) - Fraction(u)) ** 2 / (2 * Fraction(s)) + Fraction(f(v))
+
+
+def assert_old_form_off_the_thresholds(got, old, x, thresholds, snap, f, s):
+    """Off the threshold draws the bytes are the old form's.  On them staying
+    and snapping tie up to rounding: the result is one of the two, and its
+    exact psi is within 1 ulp of the better one's."""
+    at_t = np.isin(x, thresholds)
+    assert got[~at_t].tobytes() == old[~at_t].tobytes()
+    for xi, gi in zip(x[at_t].tolist(), got[at_t].tolist()):
+        best = min(exact_psi(f, s, xi, v) for v in (xi, snap))
+        assert gi in (xi, snap)
+        assert exact_psi(f, s, xi, gi) - best <= Fraction(math.ulp(float(best)))
+
+
+def neighbours(t):
+    """t and its two float neighbours."""
+    return [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+
+
 class TestKernelsEqualTheirOldForms:
+    """The surrogate prox on the built-in step and point surrogates, against
+    the closed forms that served them before (the masked and two-branch
+    forms below)."""
+
     @pytest.mark.parametrize("params, s", [
         ((0.0, 1.0, 1.0), 0.5), ((0.5, 2.0, 0.5), 0.25), ((-1.0, 0.5, 4.5), 0.25),
     ])
@@ -464,8 +514,11 @@ class TestKernelsEqualTheirOldForms:
         rng = np.random.default_rng(43)
         x = np.concatenate([rng.uniform(q - 3.0, q + 3.0, 200), ties,
                             [q, 0.0, -0.0, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)]])
-        got = hard_threshold_kernel(*params).prox(x, s)
-        assert got.tobytes() == prox_hard_masked(x, s, params).tobytes()
+        fn = point_penalty(*params)
+        got = prox_vector(fn, np.full(x.size, 2), s, x)
+        f = lambda v: 0.0 if v == q else (jump_left if v < q else jump_right)  # noqa: E731
+        assert_old_form_off_the_thresholds(got, prox_hard_masked(x, s, params), x,
+                                           [n for t in ties for n in neighbours(t)], q, f, s)
 
     @pytest.mark.parametrize("high_side", [-1, 1])
     @pytest.mark.parametrize("jump, tau, s", [(2.0, 1.0, 0.25), (0.5, 0.0, 0.25), (0.7, -0.3, 0.4)])
@@ -476,8 +529,58 @@ class TestKernelsEqualTheirOldForms:
                             [t, tau, 0.0, -0.0, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
                              np.nextafter(tau, -np.inf), np.nextafter(tau, np.inf)]])
         params = (jump, tau, float(high_side))
-        got = indicator_snap_kernel(*params).prox(x, s)
-        assert got.tobytes() == prox_indicator_snap_branches(x, s, params).tobytes()
+        fn, m = step_penalty(*params)
+        got = prox_vector(fn, np.full(x.size, m), s, x)
+        f = lambda v: jump if (v - tau) * high_side > 0 else 0.0  # noqa: E731
+        # the float neighbours of t, and both zeros where t is 0
+        assert_old_form_off_the_thresholds(got, prox_indicator_snap_branches(x, s, params), x,
+                                           neighbours(t), tau, f, s)
+
+
+def scaled_abs_owning_jumps():
+    # the scaled-abs middle piece owns both breakpoints, so both its wings
+    # are the constant limit 1
+    return build_piecewise(
+        [
+            PieceSpec(-math.inf, -1.0, Constant(1.0)),
+            PieceSpec(-1.0, 1.0, ScaledAbs(0.3)),
+            PieceSpec(1.0, math.inf, Constant(1.0)),
+        ],
+        ["right-only", "left-only"],
+    )
+
+
+def constant_with_jump_and_linear_wing():
+    # the constant middle piece owns the jump at 0 (constant-limit left wing)
+    # and meets a falling affine piece continuously at 2 (linear right wing)
+    return build_piecewise(
+        [
+            PieceSpec(-math.inf, 0.0, Constant(1.0)),
+            PieceSpec(0.0, 2.0, Constant(0.2)),
+            PieceSpec(2.0, math.inf, Affine(-0.5, 1.2)),
+        ],
+        ["right-only", "continuous"],
+    )
+
+
+class TestClosedFormWithWings:
+    """Surrogates whose shape has a closed form take it, clipped to the
+    closure, whatever their wings; these three once took the grid search."""
+
+    @pytest.mark.parametrize("make, lo, hi, formula", [
+        (linear_wings, -1.0, 1.0, lambda u, s: (u - s * 0.0) / (1.0 + 2.0 * 1.0 * s)),
+        (constant_with_jump_and_linear_wing, 0.05, 1.5, lambda u, s: u),
+        (scaled_abs_owning_jumps, -1.1, 1.1,
+         lambda u, s: np.sign(u) * np.maximum(np.abs(u) - 0.3 * s, 0.0) + 0.0),
+    ], ids=["quadratic-with-wings", "constant-jump-and-linear-wing", "scaled-abs-owning-jumps"])
+    def test_bytes_equal_the_clipped_formula(self, make, lo, hi, formula):
+        fn = make()
+        closure = fn.piece_bounds(2)
+        u = np.concatenate([np.random.default_rng(53).uniform(lo, hi, 200), [0.0, -0.0]])
+        for s in (0.125, 0.37, 0.5):
+            expect = np.clip(formula(u, s), *closure)
+            assert prox_vector(fn, np.full(u.size, 2), s, u).tobytes() == expect.tobytes()
+            assert prox_true(fn, s, u).tobytes() == expect.tobytes()
 
 
 class TestInvariants:

@@ -588,6 +588,13 @@ class TestMixedPenalties:
         trace = ppgd(prob, np.zeros(3), K=100)
         assert np.all(np.diff(trace.objective) <= 1e-12)
 
+    @pytest.mark.parametrize("bad", [0.3, None, "l1"])
+    def test_entry_that_is_not_a_penalty_names_its_coordinate(self, bad):
+        data = Dataset(np.zeros((2, 3)), np.zeros(2))
+        fn = capped_l1(0.2, 1.0)
+        with pytest.raises(TypeError, match="coordinate 2 .* not a PiecewiseFn"):
+            Problem(least_squares(data), [fn, fn, bad])
+
     def test_penalty_is_one_sum_per_group(self):
         lam, b, tau = 0.2, 1.0, 0.3
         fns = (capped_l1(lam, b), l0_penalty(lam), indicator_penalty(lam, tau))
