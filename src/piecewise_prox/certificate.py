@@ -20,9 +20,9 @@ and the admissible step-size range
 
 +inf sentinels in C or J drop the corresponding terms: without continuous
 endpoints the eps0 terms are not required, without discontinuous endpoints the
-J terms vanish.  The kappa-positivity term is solved for exactly (kappa is
-concave in s with kappa(0) <= 0 boundary), so the certificate guarantees that
-every s < s_max makes kappa, kappa0, kappa1, kappa2 simultaneously positive.
+J terms vanish.  The kappa-positivity term is solved for exactly, in closed
+form (``_kappa_root``), so the certificate guarantees that every s < s_max
+makes kappa, kappa0, kappa1, kappa2 simultaneously positive.
 For constants with C w0 eps0 <= G (G + sqrt(d) F0) no positive step satisfies
 kappa > 0 and the certificate reports s_max = 0 (infeasible).
 """
@@ -168,34 +168,28 @@ def _kappas(s, L_g, G, F0, C, J, eps0, w0, d):
 
 
 def _kappa_root(L_g, G, F0, C, J, eps0, w0, d) -> float:
-    """sup { s > 0 : kappa(s) > 0 }; 0 when the set is empty.
+    """sup { s > 0 : kappa(s) > 0 } in closed form; 0 when the set is empty.
 
-    kappa is concave in s.  With continuous endpoints kappa(0) = 0 and
-    kappa'(0+) = C w0 eps0 - G (G + sqrt(d) F0) decides feasibility; with only
-    jumps kappa(0) = J > 0 and a positive root always exists.
+    With D = G + sqrt(d) F0, kappa(s) > 0 exactly when each present branch
+    of kappa0 exceeds s (s L_g D + G) D.  For kappa1 that is s times a
+    linear function of s: s < (C w0 eps0 - G D) / (L_g (C w0 (1 - w0)
+    (G + F0) + D^2)), never when the numerator is <= 0.  For kappa2 it is
+    J - c s - L_g D^2 s^2 > 0 with c = 2 F0 (G + F0) + G D, whose positive
+    root is 2J / (c + sqrt(c^2 + 4 L_g D^2 J)).  A zero denominator leaves
+    its branch positive at every s.
     """
     D = G + math.sqrt(d) * F0
-
-    def kappa(s: float) -> float:
-        return _kappas(s, L_g, G, F0, C, J, eps0, w0, d)[0]
-
+    root = math.inf
     if math.isfinite(C):
-        slope0 = C * w0 * eps0 - G * D
-        if slope0 <= 0:
+        num = C * w0 * eps0 - G * D
+        if num <= 0:
             return 0.0
-    # doubling search for a sign change, then bisection
-    hi = 1.0 / L_g
-    for _ in range(200):
-        if kappa(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kappa(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        den = L_g * (C * w0 * (1.0 - w0) * (G + F0) + D * D)
+        if den > 0:
+            root = num / den
+    if math.isfinite(J):
+        c = 2.0 * F0 * (G + F0) + G * D
+        den = c + math.sqrt(c * c + 4.0 * L_g * D * D * J)
+        if den > 0:
+            root = min(root, 2.0 * J / den)
+    return root

@@ -54,8 +54,7 @@ def _objective(f: Callable, s: float, u):
 
 
 def minimizer_halfwidth(slope_bound: float, jump_bound: float, jump_points,
-                        s: float, x: float, margin: float = 1e-3,
-                        convex: bool = False) -> float:
+                        s: float, x: float, convex: bool = False) -> float:
     """Sound bracket radius for argmin of (1/2s)(v-x)^2 + f(v).
 
     Any global minimizer v* satisfies (v*-x)^2 <= 2s (f(x) - f(v*)); splitting
@@ -67,7 +66,7 @@ def minimizer_halfwidth(slope_bound: float, jump_bound: float, jump_points,
     if not math.isfinite(slope_bound):
         raise ProxError("cannot bracket a minimizer: unbounded slope")
     scale = 1.0 if convex else 2.0
-    base = scale * s * slope_bound + margin
+    base = scale * s * slope_bound + 1e-3  # never a zero-width bracket
     if jump_bound <= 0.0:
         return base
     reach = base + math.sqrt(2.0 * s * jump_bound)

@@ -24,6 +24,9 @@ class Dataset:
             raise ValueError(f"features must be a nonempty 2-d array, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise ValueError(f"labels shape {y.shape} does not match {X.shape[0]} rows")
+        for name, a in (("features", X), ("labels", y)):  # min/max: no n x d temporary
+            if not (math.isfinite(a.min()) and math.isfinite(a.max())):
+                raise ValueError(f"{name} must be finite (found NaN or inf)")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
 

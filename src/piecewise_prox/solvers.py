@@ -15,10 +15,13 @@ Three algorithms share the machinery here:
                        onto a single-point piece already lands on its value,
                        so nothing is snapped.
 
-All three run through one loop and differ only in their per-iteration step,
-which hands the loop the piece assignment of the iterate it accepts.
-With a single convex piece the projection is the identity and ``ppgd`` reduces
-exactly to ``apg_monotone``.
+All three run through one loop, ``_solve``, and differ only in their
+per-iteration step, which hands the loop the piece assignment of the iterate
+it accepts.  ``Problem`` is the only code that loops over the penalty groups
+(the coordinates sharing one penalty); a ``ppgd`` step runs its ``project``,
+``prox_step``, ``surrogate_penalty``, ``assignments`` and ``nce``, the others
+its ``prox_exact``.  With a single convex piece the projection is the
+identity and ``ppgd`` reduces exactly to ``apg_monotone``.
 """
 
 from __future__ import annotations
@@ -41,9 +44,6 @@ __all__ = [
     "SolverError",
     "tk_next",
     "extrapolate",
-    "project_piecewise",
-    "nce",
-    "surrogate_objective",
     "ppgd",
     "pgd",
     "apg_monotone",
@@ -95,12 +95,6 @@ class Problem:
     def d(self) -> int:
         return self.loss.d
 
-    @property
-    def shared_penalty(self) -> PiecewiseFn:
-        if len(self._groups) != 1:
-            raise ValueError("problem uses distinct per-coordinate penalties")
-        return self._groups[0][0]
-
     def min_r0(self) -> float:
         return min(fn.R0 for fn, _ in self._groups)
 
@@ -135,22 +129,37 @@ class Problem:
             out[ix] = prox_vector(fn, assignment[ix], s, v[ix])
         return out
 
+    def prox_exact(self, s: float, v: np.ndarray) -> np.ndarray:
+        """Exact prox of the full penalty, one penalty group at a time."""
+        v = np.asarray(v, dtype=float)
+        out = np.empty_like(v)
+        for fn, ix in self._groups:
+            out[ix] = prox_true(fn, s, v[ix])
+        return out
+
     def project(self, x, u, assignment) -> np.ndarray:
+        """Clamp u coordinatewise to the closure of x_i's piece intersected
+        with the radius-R0 box around x_i."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         w = np.empty_like(u)
         for fn, ix in self._groups:
-            w[ix] = _project_group(fn, x[ix], u[ix], assignment[ix], fn.R0)
+            m = assignment[ix] - 1
+            lo, hi = fn._lo[m], fn._hi[m]
+            if math.isfinite(fn.R0):
+                lo = np.maximum(lo, x[ix] - fn.R0)
+                hi = np.minimum(hi, x[ix] + fn.R0)
+            w[ix] = np.clip(u[ix], lo, hi)
         return w
 
-
-def _project_group(fn: PiecewiseFn, x, u, assign, R0: float) -> np.ndarray:
-    lo = fn._lo[assign - 1]
-    hi = fn._hi[assign - 1]
-    if math.isfinite(R0):
-        lo = np.maximum(lo, x - R0)
-        hi = np.minimum(hi, x + R0)
-    return np.clip(u, lo, hi)
+    def nce(self, z, w, w0: float, assign_x, assign_z) -> bool:
+        """Whether negative-curvature exploitation accepts the probe z, taken
+        from the projected point w, off the pieces ``assign_x`` onto
+        ``assign_z``: some coordinate's crossing must pass ``_nce_group``'s
+        rule.  Every group is judged, so each may raise on inconsistent
+        piece metadata."""
+        return any([_nce_group(fn, z[ix], w[ix], w0, assign_x[ix], assign_z[ix])
+                    for fn, ix in self._groups])
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +186,6 @@ def extrapolate(x, x_prev, z, t_prev: float, t: float) -> np.ndarray:
     return x + (t_prev / t) * (z - x) + ((t_prev - 1.0) / t) * (x - x_prev)
 
 
-def project_piecewise(x, u, R0: float, fn: PiecewiseFn) -> np.ndarray:
-    """Clamp u coordinatewise to closure(piece of x_i) intersected with the
-    radius-R0 ball around x_i."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    assign = fn.piece_index(x)
-    return _project_group(fn, x, u, assign, R0)
-
-
-def surrogate_objective(problem: Problem, assignment, v) -> float:
-    """g(v) + sum_i f_{assignment_i}(v_i)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (problem.d,):
-        raise ValueError(f"v has shape {v.shape}, expected ({problem.d},)")
-    return problem.loss.value(v) + problem.surrogate_penalty(np.asarray(assignment), v)
-
-
 def _nce_group(fn: PiecewiseFn, z, w, w0: float, assign_x, assign_z) -> bool:
     """Whether any coordinate of one penalty group that moves from piece
     ``assign_x`` onto ``assign_z`` satisfies an NCE acceptance condition.
@@ -201,7 +193,9 @@ def _nce_group(fn: PiecewiseFn, z, w, w0: float, assign_x, assign_z) -> bool:
     Each crossing is judged at the endpoint q of its old piece that lies
     between w and z, the one closer to w if both do, by the endpoint record
     on that side of the old piece: toward z when the old piece is a single
-    point.
+    point.  A continuous record accepts only when the overshoot past q is at
+    least the w0 fraction of the step (d_{i,1} >= w0 d_{i,0}); any other
+    record always accepts.
     """
     cross = np.flatnonzero(assign_z != assign_x)
     wc, zc, m = w[cross], z[cross], assign_x[cross]
@@ -222,30 +216,6 @@ def _nce_group(fn: PiecewiseFn, z, w, w0: float, assign_x, assign_z) -> bool:
     left = np.where(lo == hi, zc < q, at_lo)
     continuous = fn._continuous[np.where(left, m - 2, m - 1)]
     return bool(np.any(~continuous | (np.abs(zc - q) >= w0 * np.abs(zc - wc))))
-
-
-def nce(x_k, z_k1, w_k, w0: float, fn: PiecewiseFn) -> np.ndarray:
-    """Negative-curvature-exploitation step for a shared penalty.
-
-    If z sits on the same pieces as x it is accepted outright.  Otherwise each
-    crossing coordinate is inspected at the endpoint record it crosses (see
-    ``_nce_group``): a continuous endpoint accepts only when
-    the overshoot past the endpoint is at least the w0 fraction of the step
-    (d_{i,1} >= w0 d_{i,0}); a discontinuous endpoint always accepts.  An
-    accepted z is returned as it is: a coordinate that crosses onto a
-    single-point piece already equals that piece's value.  Without any
-    acceptance the step is rejected and x is returned.
-    """
-    if not 0.0 < w0 <= 1.0:
-        raise ValueError("w0 must lie in (0, 1]")
-    x_k = np.atleast_1d(np.asarray(x_k, dtype=float))
-    z_k1 = np.atleast_1d(np.asarray(z_k1, dtype=float))
-    w_k = np.atleast_1d(np.asarray(w_k, dtype=float))
-    assign_x = fn.piece_index(x_k)
-    assign_z = fn.piece_index(z_k1)
-    if np.array_equal(assign_x, assign_z) or _nce_group(fn, z_k1, w_k, w0, assign_x, assign_z):
-        return z_k1.copy()
-    return x_k.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +288,6 @@ class Trace:
             "final_residual": self.final_residual,
             "wall_ms_total": float(np.sum(self.wall_ms)),
         }
-
-
-class _TraceBuilder:
-    def __init__(self, solver, s, w0, x0, F0, record_timing=True):
-        self.solver = solver
-        self.s = s
-        self.w0 = w0
-        self.record_timing = record_timing
-        self.k = [0]
-        self.objective = [F0]
-        self.surrogate = [math.nan]
-        self.transitions = [False]
-        self.outcomes = [""]
-        self.wall = [0.0]
-        self.iterates = [np.array(x0, dtype=float)]
-
-    def add(self, k, F, F_sz, transition, outcome, wall_ms, x):
-        self.k.append(k)
-        self.objective.append(F)
-        self.surrogate.append(F_sz)
-        self.transitions.append(transition)
-        self.outcomes.append(outcome)
-        self.wall.append(wall_ms if self.record_timing else 0.0)
-        self.iterates.append(np.array(x, dtype=float))
-
-    def build(self, final_residual=math.nan) -> Trace:
-        return Trace(
-            solver=self.solver,
-            s=self.s,
-            w0=self.w0,
-            k=np.asarray(self.k, dtype=np.int64),
-            objective=np.asarray(self.objective, dtype=float),
-            surrogate_objective=np.asarray(self.surrogate, dtype=float),
-            transitions=np.asarray(self.transitions, dtype=bool),
-            nce_outcomes=self.outcomes,
-            wall_ms=np.asarray(self.wall, dtype=float),
-            iterates=np.stack(self.iterates, axis=0),
-            final_residual=final_residual,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +377,9 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     F_x, assign, px = _objective_and_pieces(problem, x)
     px_prev = pz = px
     _check_finite(F_x, solver, 0)
-    tb = _TraceBuilder(solver, s, w0, x, F_x, record_timing)
+    # one row per trace line; x is never changed in place, so no row copies it
+    rows = [(0, F_x, math.nan, False, "", 0.0, x)]
     last_transition = 0
-
-    def residual():
-        return _residual(problem, x, problem.loss.gradient(x, px), s)
 
     for k in range(1, K + 1):
         tic = time.perf_counter()
@@ -469,13 +398,23 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
             x, px, assign = z, pz, new_assign
         t_prev, t = t, tk_next(t)
 
-        wall = (time.perf_counter() - tic) * 1e3
-        tb.add(k, F_x, F_probe, transition, outcome, wall, x)
+        wall = (time.perf_counter() - tic) * 1e3 if record_timing else 0.0
+        rows.append((k, F_x, F_probe, transition, outcome, wall, x))
 
-        if stop_tol is not None and k - last_transition >= 10 and residual() < stop_tol:
+        if (stop_tol is not None and k - last_transition >= 10
+                and stationarity_residual(problem, x, s, px) < stop_tol):
             break
 
-    return tb.build(final_residual=residual())
+    ks, F, F_sz, transitions, outcomes, walls, xs = zip(*rows)
+    return Trace(solver=solver, s=s, w0=w0,
+                 k=np.asarray(ks, dtype=np.int64),
+                 objective=np.asarray(F, dtype=float),
+                 surrogate_objective=np.asarray(F_sz, dtype=float),
+                 transitions=np.asarray(transitions, dtype=bool),
+                 nce_outcomes=list(outcomes),
+                 wall_ms=np.asarray(walls, dtype=float),
+                 iterates=np.stack(xs, axis=0),
+                 final_residual=stationarity_residual(problem, x, s, px))
 
 
 def _shifted_product(X: np.ndarray, pu: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -525,8 +464,7 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
         assign_z = problem.assignments(z)
         if np.array_equal(assign_z, assign):
             return z, pz, F_sz, "same-piece", (F_sz, assign)
-        if any([_nce_group(fn, z[ix], w[ix], w0, assign[ix], assign_z[ix])
-                for fn, ix in problem._groups]):  # every group judged, so each may raise
+        if problem.nce(z, w, w0, assign, assign_z):
             F_z = g_z + problem.surrogate_penalty(assign_z, z)
             return z, pz, F_sz, "nce-accept", (F_z, assign_z)
         return z, pz, F_sz, "nce-reject", None
@@ -542,7 +480,7 @@ def pgd(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
     """
 
     def step(x, px, u, pu, assign, F_x, s):
-        z = _prox_full(problem, s, x - s * problem.loss.gradient(x, px))
+        z = problem.prox_exact(s, x - s * problem.loss.gradient(x, px))
         F_z, assign_z, pz = _objective_and_pieces(problem, z)
         return z, pz, F_z, "step", (F_z, assign_z)
 
@@ -559,7 +497,7 @@ def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
     """
 
     def step(x, px, u, pu, assign, F_x, s):
-        z = _prox_full(problem, s, u - s * problem.loss.gradient(u, pu))
+        z = problem.prox_exact(s, u - s * problem.loss.gradient(u, pu))
         F_z, assign_z, pz = _objective_and_pieces(problem, z)
         if _no_worse(F_z, F_x):
             return z, pz, F_z, "accept", (F_z, assign_z)
@@ -568,31 +506,22 @@ def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
     return _solve("apg", step, problem, x0, s, K, None, None, record_timing)
 
 
-def _prox_full(problem: Problem, s: float, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    for fn, ix in problem._groups:
-        out[ix] = prox_true(fn, s, v[ix])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
 
-def stationarity_residual(problem: Problem, x, s: float) -> float:
+def stationarity_residual(problem: Problem, x, s: float, Xx=None) -> float:
     """||x - prox-step(x)|| / s with the surrogates of the pieces of x.
 
     Zero at a point that is a fixed point of the projected surrogate update; a
-    numeric stand-in for the critical-point condition.
+    numeric stand-in for the critical-point condition.  A caller that holds
+    the product X @ x passes it as ``Xx``, as to ``SmoothLoss.gradient``; the
+    result is the same bit for bit.
     """
     _check_step(s)
     x = np.asarray(x, dtype=float)
-    return _residual(problem, x, problem.loss.gradient(x), s)
-
-
-def _residual(problem: Problem, x, grad, s: float) -> float:
-    """stationarity_residual with the gradient at x given."""
+    grad = problem.loss.gradient(x, Xx)
     p = problem.prox_step(problem.assignments(x), s, x - s * grad)
     return float(np.linalg.norm(x - p) / s)
 

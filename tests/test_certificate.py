@@ -48,6 +48,31 @@ class TestFeasibility:
         assert cert.kappas(0.99 * root)[0] > 0
         assert cert.kappas(1.01 * root)[0] < 0
 
+    def test_closed_form_root_is_where_kappa_changes_sign(self):
+        rng = np.random.default_rng(3)
+        checked = 0
+        for _ in range(500):
+            kw = dict(L_g=rng.uniform(0.01, 10.0), G=rng.uniform(0.0, 1.0),
+                      F0=rng.uniform(0.0, 1.0), w0=rng.choice([rng.uniform(0.01, 1.0), 1.0]),
+                      d=int(rng.integers(1, 50)))
+            which = rng.integers(0, 3)
+            if which != 1:
+                kw.update(C=rng.uniform(0.01, 5.0), eps0=rng.uniform(0.01, 5.0))
+            if which != 0:
+                kw.update(J=rng.uniform(0.01, 5.0))
+            cert = certify_step_size(**kw)
+            root = cert.terms["kappa-positivity"]
+            if 0 < root < math.inf:
+                checked += 1
+                assert cert.kappas((1 - 1e-9) * root)[0] > 0, kw
+                assert cert.kappas((1 + 1e-9) * root)[0] <= 0, kw
+        assert checked > 300
+
+    def test_root_unbounded_without_gradient_or_slope(self):
+        cert = certify_step_size(L_g=1.0, G=0.0, F0=0.0, J=0.5)
+        assert cert.terms["kappa-positivity"] == math.inf
+        assert cert.s_max == 1.0
+
 
 class TestRandomDraws:
     def test_all_kappas_positive_below_s_max(self):

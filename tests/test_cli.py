@@ -137,6 +137,14 @@ class TestSolve:
         assert code == 1
         assert "csv-path" in err
 
+    def test_csv_with_nan_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,1.0\nnan,0.5,-1.0\n0.3,0.1,1.0\n")
+        code, out, err = run_cli(["solve", "--data", "csv", "--csv-path", str(path),
+                                  "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "features must be finite" in err
+
 
 class TestBenchmark:
     def write_config(self, tmp_path, out_dir):

@@ -24,6 +24,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="2-d"):
             Dataset(np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        X, y = np.ones((3, 2)), np.ones(3)
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            Dataset(X, np.ones(3))
+        y[2] = bad
+        with pytest.raises(ValueError, match="labels must be finite"):
+            Dataset(np.ones((3, 2)), y)
+
     def test_binary_labels_enforced_for_logistic(self):
         with pytest.raises(ValueError, match=r"\+-1"):
             logistic_loss(Dataset(np.ones((2, 1)), np.array([0.0, 1.0])))
