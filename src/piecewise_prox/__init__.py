@@ -1,118 +1,18 @@
 """First-order optimization for composite objectives F(x) = g(x) + h(x)
 where h is a separable, piecewise convex (possibly nonconvex) regularizer.
+
+The package namespace is every name in its submodules' ``__all__``.
 """
 
-from .certificate import CertificateError, StepSizeCertificate, certify_step_size
-from .harness import (
-    ExperimentConfig,
-    IdxFormatError,
-    Report,
-    SolverSpec,
-    build_problem,
-    fit_rate,
-    load_csv,
-    load_idx,
-    run_experiment,
-    subsample_binary,
-    synth,
-    write_idx,
-)
-from .piecewise import (
-    Affine,
-    Constant,
-    CustomShape,
-    Endpoint,
-    Piece,
-    PieceSpec,
-    Quadratic,
-    ScaledAbs,
-    PiecewiseBuildError,
-    PiecewiseFn,
-    SurrogateFn,
-    build_piecewise,
-    capped_l1,
-    from_json,
-    indicator_penalty,
-    l0_penalty,
-    l1_penalty,
-    leaky_capped_l1,
-    to_json,
-    zero_penalty,
-)
-from .prox import ProxError, minimizer_halfwidth, prox_oracle, prox_surrogate, prox_true, prox_vector
-from .smooth import Dataset, SmoothLoss, least_squares, logistic_loss, spectral_norm
-from .solvers import (
-    Problem,
-    SolverError,
-    Trace,
-    apg_monotone,
-    default_step_size,
-    estimate_G,
-    extrapolate,
-    pgd,
-    ppgd,
-    stationarity_residual,
-    tk_next,
-)
+from . import certificate, harness, piecewise, prox, smooth, solvers
+from .certificate import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .piecewise import *  # noqa: F401,F403
+from .prox import *  # noqa: F401,F403
+from .smooth import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CertificateError",
-    "StepSizeCertificate",
-    "certify_step_size",
-    "ExperimentConfig",
-    "IdxFormatError",
-    "Report",
-    "SolverSpec",
-    "build_problem",
-    "fit_rate",
-    "load_csv",
-    "load_idx",
-    "run_experiment",
-    "subsample_binary",
-    "synth",
-    "write_idx",
-    "Affine",
-    "Constant",
-    "CustomShape",
-    "Endpoint",
-    "Piece",
-    "PieceSpec",
-    "Quadratic",
-    "ScaledAbs",
-    "PiecewiseBuildError",
-    "PiecewiseFn",
-    "SurrogateFn",
-    "build_piecewise",
-    "capped_l1",
-    "from_json",
-    "indicator_penalty",
-    "l0_penalty",
-    "l1_penalty",
-    "leaky_capped_l1",
-    "to_json",
-    "zero_penalty",
-    "ProxError",
-    "minimizer_halfwidth",
-    "prox_oracle",
-    "prox_surrogate",
-    "prox_true",
-    "prox_vector",
-    "Dataset",
-    "SmoothLoss",
-    "least_squares",
-    "logistic_loss",
-    "spectral_norm",
-    "Problem",
-    "SolverError",
-    "Trace",
-    "apg_monotone",
-    "default_step_size",
-    "estimate_G",
-    "extrapolate",
-    "pgd",
-    "ppgd",
-    "stationarity_residual",
-    "tk_next",
-]
+__all__ = [*certificate.__all__, *harness.__all__, *piecewise.__all__, *prox.__all__,
+           *smooth.__all__, *solvers.__all__]

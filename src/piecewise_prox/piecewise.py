@@ -28,10 +28,12 @@ piece and extends outside it with the simplest compatible structure: linearly
 through the breakpoint value when the penalty is continuous there, linearly
 through the one-sided limit when the piece does not own a discontinuous
 breakpoint, and as the constant far-side limit when it does (the nonconvex
-case).  Every built-in shape has a closed-form ``prox(u, s)``, the minimizer
-of (1/2s)(v - u)^2 + shape(v) over the whole line; ``prox`` builds each
-surrogate's prox from it and the surrogate's wing data.  A ``CustomShape``
-has none and takes a grid search on its piece's closure.
+case).  ``PiecewiseFn.surrogates`` holds the surrogate of every piece in
+piece order, and ``surrogate_values`` values the surrogates of given pieces at
+an array.  Every built-in shape has a closed-form ``prox(u, s)``, the
+minimizer of (1/2s)(v - u)^2 + shape(v) over the whole line; ``prox`` builds
+each surrogate's prox from it and the surrogate's wing data.  A
+``CustomShape`` has none and takes a grid search on its piece's closure.
 """
 
 from __future__ import annotations
@@ -442,20 +444,12 @@ class PiecewiseFn:
     F0: float
     R0: float
     s0: float
-    # per-piece closure bounds
-    _lo: np.ndarray = field(repr=False, default=None)
-    _hi: np.ndarray = field(repr=False, default=None)
     # membership tables: the distinct breakpoint values padded with +inf, the
     # piece owning each value and the piece covering the open gap below it
     _cuts: np.ndarray = field(repr=False, default=None)
     _at: np.ndarray = field(repr=False, default=None)
     _gap: np.ndarray = field(repr=False, default=None)
-    # whether each endpoint record is tagged continuous
-    _continuous: np.ndarray = field(repr=False, default=None)
     _builtin: Optional[tuple] = field(repr=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_surrogates", {})
 
     @property
     def n_pieces(self) -> int:
@@ -478,17 +472,17 @@ class PiecewiseFn:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        out = self._evaluate_on(arr, self.piece_index(arr))
+        out = self.surrogate_values(arr, self.piece_index(arr))
         return float(out[0]) if scalar else out
 
-    def _evaluate_on(self, x: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    def surrogate_values(self, x: np.ndarray, assign: np.ndarray) -> np.ndarray:
         """Surrogate value of each assigned 1-based piece at the array x:
         the penalty itself where x lies on its assigned pieces."""
         out = np.empty_like(x)
-        for m in range(1, self.n_pieces + 1):
+        for m, sur in enumerate(self.surrogates, 1):
             mask = assign == m
             if mask.any():
-                out[mask] = self.surrogate(m)(x[mask])
+                out[mask] = sur(x[mask])
         return out
 
     __call__ = evaluate
@@ -501,7 +495,7 @@ class PiecewiseFn:
 
     def piece_bounds(self, m: int):
         """Closure bounds of piece m (1-based)."""
-        return float(self._lo[m - 1]), float(self._hi[m - 1])
+        return self.pieces[m - 1].left, self.pieces[m - 1].right
 
     @cached_property
     def _owner_values(self):
@@ -509,21 +503,22 @@ class PiecewiseFn:
         each (the bytes ``evaluate`` gives) and, per piece, the (edges, values)
         of its finite edges that another piece owns; no membership pass."""
         q, at = self._cuts[:-1], self._at[:-1]
-        fq = self._evaluate_on(q, at)
-        foreign = [((q == lo) | (q == hi)) & (at != m)
-                   for m, lo, hi in zip(range(1, self.n_pieces + 1), self._lo, self._hi)]
+        fq = self.surrogate_values(q, at)
+        foreign = [((q == p.left) | (q == p.right)) & (at != p.index) for p in self.pieces]
         return q, fq, tuple((q[f], fq[f]) for f in foreign)
 
     # -- surrogates -----------------------------------------------------------
 
+    @cached_property
+    def surrogates(self) -> tuple:
+        """The surrogate extension of every piece, in piece order."""
+        return tuple(_make_surrogate(self, m) for m in range(1, self.n_pieces + 1))
+
     def surrogate(self, m: int) -> SurrogateFn:
-        """Surrogate extension of piece m (1-based), cached per instance."""
+        """Surrogate extension of piece m (1-based)."""
         if not 1 <= m <= self.n_pieces:
             raise IndexError(f"piece index {m} outside 1..{self.n_pieces}")
-        cache = self._surrogates
-        if m not in cache:
-            cache[m] = _make_surrogate(self, m)
-        return cache[m]
+        return self.surrogates[m - 1]
 
 
 def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
@@ -652,11 +647,7 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str],
         )
     C = min(drops) if drops else math.inf
     J = min(jumps) if jumps else math.inf
-    lo = np.array([p.left for p in pieces])
-    hi = np.array([p.right for p in pieces])
-    continuous = np.array([e.is_continuous for e in endpoints], dtype=bool)
-    return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0,
-                       lo, hi, cuts, at, gap, continuous, builtin)
+    return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0, cuts, at, gap, builtin)
 
 
 def _membership(pieces, endpoints):

@@ -6,15 +6,15 @@ candidate is the point itself on a single-point piece, the shape's closed-form
 on the closure.  A convex surrogate (no constant-limit wing) takes a wing's own
 minimizer where it lies strictly beyond that wing's edge; a nonconvex one keeps
 the best of the closure candidate and each wing minimizer that lies on its
-wing.  ``prox_surrogate`` applies it at one point, ``prox_vector`` to one
-penalty's coordinates, one array call per piece present.  ``prox_true`` is the
-exact prox of the full penalty: each piece's closure candidate and every
-breakpoint, each valued once by the piece that produced it.  Ties go to the
-library rule (``_pick_columns``).  Every grid-section search runs on all of its
-brackets at once (``_section_min``): each round samples a fixed 17-point grid
-across every bracket and keeps the two cells around the least sample, until
-the bracket is at most 1e-12 wide; a closure search takes at most 1024
-brackets per call.
+wing.  ``prox_surrogate`` applies it at one point, ``prox_vector`` to each
+coordinate by its entry in a table of surrogates, one array call per entry
+present.  ``prox_true`` is the exact prox of the full penalty: each piece's
+closure candidate and every breakpoint, each valued once by the piece that
+produced it.  Ties go to the library rule (``_pick_columns``).  Every
+grid-section search runs on all of its brackets at once (``_section_min``):
+each round samples a fixed 17-point grid across every bracket and keeps the
+two cells around the least sample, until the bracket is at most 1e-12 wide; a
+closure search takes at most 1024 brackets per call.
 ``prox_oracle`` is an independent ground-truth used by tests: a dense grid
 argmin refined by one grid-section pass per local basin, with its own scalar
 search (``_section_scalar``).  The two routes are kept separate so each can
@@ -293,14 +293,15 @@ def _section_scalar(psi: Callable, lo: float, hi: float, tol: float, iters: int 
     return best_v, best_f
 
 
-def prox_vector(fn: PiecewiseFn, assignment, s: float, u: np.ndarray) -> np.ndarray:
-    """Coordinatewise prox of the surrogates of one penalty.
+def prox_vector(surrogates, assignment, s: float, u: np.ndarray) -> np.ndarray:
+    """Coordinatewise prox over a table of surrogates.
 
-    Coordinate i of u takes the prox of ``fn.surrogate(assignment[i])``, with
-    1-based piece indices.  Each piece present gets one array call of
-    ``_surrogate_prox`` on its coordinates.  Only a NaN objective raises
-    ProxError, naming the first such coordinate: a NaN u on a custom shape,
-    or a NaN among the candidates a nonconvex surrogate values.
+    Coordinate i of u takes the prox of ``surrogates[assignment[i] - 1]``,
+    so ``fn.surrogates`` with piece indices serves one penalty.  Each entry
+    present gets one array call of ``_surrogate_prox`` on its coordinates.
+    Only a NaN objective raises ProxError, naming the first such coordinate:
+    a NaN u on a custom shape, or a NaN among the candidates a nonconvex
+    surrogate values.
     """
     u = np.asarray(u, dtype=float)
     assignment = np.asarray(assignment)
@@ -308,11 +309,11 @@ def prox_vector(fn: PiecewiseFn, assignment, s: float, u: np.ndarray) -> np.ndar
         raise ValueError(f"expected {u.size} surrogates, one per coordinate, "
                          f"got {assignment.size}")
     out = np.empty_like(u)
-    for m in range(1, fn.n_pieces + 1):
+    for m, sur in enumerate(surrogates, 1):
         sel = np.flatnonzero(assignment == m)
         if not sel.size:
             continue
-        out[sel] = _surrogate_prox(fn.surrogate(m), s, u[sel], sel)
+        out[sel] = _surrogate_prox(sur, s, u[sel], sel)
     return out
 
 

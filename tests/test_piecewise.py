@@ -342,7 +342,7 @@ class TestSurrogates:
         assert np.allclose(f2(grid), 0.2 * np.abs(grid), rtol=0, atol=1e-14)
         # so its prox is the soft threshold on the whole line, wings included
         soft = np.sign(grid) * np.maximum(np.abs(grid) - 0.2 * 0.5, 0.0) + 0.0
-        assert prox_vector(fn, np.full(grid.size, 2), 0.5, grid).tobytes() == soft.tobytes()
+        assert prox_vector(fn.surrogates, np.full(grid.size, 2), 0.5, grid).tobytes() == soft.tobytes()
 
     def test_capped_outer_is_constant(self):
         fn = capped_l1(0.2, 1.0)

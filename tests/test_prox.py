@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piecewise_prox import (
+    Dataset,
     PieceSpec,
+    Problem,
     ProxError,
     Quadratic,
     build_piecewise,
@@ -16,6 +18,7 @@ from piecewise_prox import (
     l0_penalty,
     l1_penalty,
     leaky_capped_l1,
+    least_squares,
     minimizer_halfwidth,
     prox_oracle,
     prox_surrogate,
@@ -164,16 +167,16 @@ class TestVector:
     def test_constant_coordinates_unchanged(self):
         fn = capped_l1(1.0, 1.0)
         u = np.array([0.3, -2.5])
-        assert np.array_equal(prox_vector(fn, [1, 1], 0.5, u), u)
+        assert np.array_equal(prox_vector(fn.surrogates, [1, 1], 0.5, u), u)
 
     def test_mixed_kernels_match_scalar_calls(self):
         fn = capped_l1(0.5, 1.0)
         l0 = l0_penalty(0.8)
         surs = [fn.surrogate(2), fn.surrogate(3), l0.surrogate(2)]
         u = np.array([0.9, 4.0, 0.2])
-        # one call per penalty, as Problem.prox_step makes them
-        out = np.concatenate([prox_vector(fn, [2, 3], 0.6, u[:2]),
-                              prox_vector(l0, [2], 0.6, u[2:])])
+        # one call on a table of both penalties' surrogates, as Problem.prox_step
+        # makes it: l0's piece 2 is entry 5
+        out = prox_vector(fn.surrogates + l0.surrogates, [2, 3, 5], 0.6, u)
         expect = np.array([prox_surrogate(s_, 0.6, float(ui)) for s_, ui in zip(surs, u)])
         assert np.array_equal(out, expect)
 
@@ -184,7 +187,7 @@ class TestVector:
         s = 0.8
         assign = fn.piece_index(u)
         surs = [fn.surrogate(int(m)) for m in assign]
-        out = prox_vector(fn, assign, s, u)
+        out = prox_vector(fn.surrogates, assign, s, u)
         for i, sur in enumerate(surs):
             hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, float(u[i]))
             ref = prox_oracle(sur, s, float(u[i]), hw, 1e-6)
@@ -193,7 +196,7 @@ class TestVector:
     def test_length_mismatch(self):
         fn = capped_l1(0.2, 1.0)
         with pytest.raises(ValueError, match="surrogates"):
-            prox_vector(fn, [1], 0.5, np.zeros(2))
+            prox_vector(fn.surrogates, [1], 0.5, np.zeros(2))
 
 
 def linear_wings():
@@ -283,7 +286,7 @@ class TestNumericFallback:
         f2 = fn.surrogate(2)
         assert (f2.left_case, f2.right_case) == ("constant-limit", "limit-linear")
         s = 0.25
-        out = prox_vector(fn, [2, 2], s, np.array([-3.0, 5.0]))
+        out = prox_vector(fn.surrogates, [2, 2], s, np.array([-3.0, 5.0]))
         assert out[0] == -3.0
         assert out[1] == 5.0 - s * f2.right_slope
 
@@ -295,7 +298,7 @@ class TestNumericFallback:
         fn = capped_pseudo_huber()
         u = np.array([0.0, big])
         expect = [0.0, big]
-        assert prox_vector(fn, [2, 2], 0.5, u).tolist() == expect
+        assert prox_vector(fn.surrogates, [2, 2], 0.5, u).tolist() == expect
         assert prox_true(fn, 0.5, u).tolist() == expect
         assert [prox_surrogate(fn.surrogate(2), 0.5, x) for x in u] == expect
 
@@ -308,16 +311,26 @@ class TestNumericFallback:
         with np.errstate(over="ignore"):
             sur(wing)
             [sur(float(x)) for x in wing]
-            prox_vector(fn, [2, 2], 0.5, np.array([0.0, 1e200]))
+            prox_vector(fn.surrogates, [2, 2], 0.5, np.array([0.0, 1e200]))
         inputs = np.concatenate([x.ravel() for x in seen])
         assert inputs.size and np.abs(inputs).max() <= 0.5
 
     def test_nan_objective_names_the_coordinate(self):
         fn = capped_pseudo_huber()
         with pytest.raises(ProxError, match="coordinate 2: NaN"):
-            prox_vector(fn, [1, 2, 2], 0.5, np.array([math.nan, 0.0, math.nan]))
+            prox_vector(fn.surrogates, [1, 2, 2], 0.5, np.array([math.nan, 0.0, math.nan]))
         with pytest.raises(ProxError, match="coordinate 0: NaN"):
             prox_surrogate(fn.surrogate(2), 0.5, math.nan)
+
+    def test_nan_on_a_mixed_problem_names_the_problem_coordinate(self):
+        # capped-l1 on coordinates 0-1, the custom shape on 2-3: the custom
+        # group's pieces follow capped-l1's 3 in the problem's piece table
+        prob = Problem(least_squares(Dataset(np.eye(4), np.ones(4))),
+                       [capped_l1(0.1, 0.5)] * 2 + [capped_pseudo_huber(0.1, 0.5)] * 2)
+        assign = prob.assignments(np.full(4, 0.1))
+        assert assign.tolist() == [2, 2, 5, 5]
+        with pytest.raises(ProxError, match="coordinate 3: NaN"):
+            prob.prox_step(assign, 0.5, np.array([0.1, 0.1, 0.1, math.nan]))
 
     def test_lockstep_search_equals_one_bracket_at_a_time(self):
         # brackets from a point to 1e3 wide: each must stop on its own width
@@ -343,10 +356,10 @@ class TestNumericFallback:
         seen = []
         fn = capped_pseudo_huber(seen=seen)
         u = np.random.default_rng(23).uniform(-0.6, 0.6, size=2500)
-        out = prox_vector(fn, np.full(u.size, 2), 0.5, u)
+        out = prox_vector(fn.surrogates, np.full(u.size, 2), 0.5, u)
         assert max(x.size for x in seen) <= 17 * 1024
         for i in [0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 2499, *range(3, 2500, 97)]:
-            alone = prox_vector(fn, [2], 0.5, u[i:i + 1])
+            alone = prox_vector(fn.surrogates, [2], 0.5, u[i:i + 1])
             assert alone.tobytes() == out[i:i + 1].tobytes(), i
 
 
@@ -515,7 +528,7 @@ class TestKernelsEqualTheirOldForms:
         x = np.concatenate([rng.uniform(q - 3.0, q + 3.0, 200), ties,
                             [q, 0.0, -0.0, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)]])
         fn = point_penalty(*params)
-        got = prox_vector(fn, np.full(x.size, 2), s, x)
+        got = prox_vector(fn.surrogates, np.full(x.size, 2), s, x)
         f = lambda v: 0.0 if v == q else (jump_left if v < q else jump_right)  # noqa: E731
         assert_old_form_off_the_thresholds(got, prox_hard_masked(x, s, params), x,
                                            [n for t in ties for n in neighbours(t)], q, f, s)
@@ -530,7 +543,7 @@ class TestKernelsEqualTheirOldForms:
                              np.nextafter(tau, -np.inf), np.nextafter(tau, np.inf)]])
         params = (jump, tau, float(high_side))
         fn, m = step_penalty(*params)
-        got = prox_vector(fn, np.full(x.size, m), s, x)
+        got = prox_vector(fn.surrogates, np.full(x.size, m), s, x)
         f = lambda v: jump if (v - tau) * high_side > 0 else 0.0  # noqa: E731
         # the float neighbours of t, and both zeros where t is 0
         assert_old_form_off_the_thresholds(got, prox_indicator_snap_branches(x, s, params), x,
@@ -579,7 +592,7 @@ class TestClosedFormWithWings:
         u = np.concatenate([np.random.default_rng(53).uniform(lo, hi, 200), [0.0, -0.0]])
         for s in (0.125, 0.37, 0.5):
             expect = np.clip(formula(u, s), *closure)
-            assert prox_vector(fn, np.full(u.size, 2), s, u).tobytes() == expect.tobytes()
+            assert prox_vector(fn.surrogates, np.full(u.size, 2), s, u).tobytes() == expect.tobytes()
             assert prox_true(fn, s, u).tobytes() == expect.tobytes()
 
 
