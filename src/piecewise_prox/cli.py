@@ -158,7 +158,8 @@ def _cmd_benchmark(args) -> int:
         slope = row["rate_slope"]
         slope_txt = "converged" if slope is None else f"{slope:.3f}"
         print(f"{row['solver']}: final F = {row['final_objective']:.9g}, "
-              f"transitions = {row['n_transitions']}, rate slope = {slope_txt}")
+              f"transitions = {row['n_transitions']}, k0 = {row['k0']}, "
+              f"rate slope = {slope_txt}")
     print(f"report: {cfg.output_dir}/report.json")
     return 0
 

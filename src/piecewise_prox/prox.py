@@ -301,7 +301,8 @@ def prox_vector(surrogates, assignment, s: float, u: np.ndarray) -> np.ndarray:
     present gets one array call of ``_surrogate_prox`` on its coordinates.
     Only a NaN objective raises ProxError, naming the first such coordinate:
     a NaN u on a custom shape, or a NaN among the candidates a nonconvex
-    surrogate values.
+    surrogate values.  A number outside 1..len(surrogates) raises ValueError,
+    naming the first coordinate that has one.
     """
     u = np.asarray(u, dtype=float)
     assignment = np.asarray(assignment)
@@ -309,11 +310,16 @@ def prox_vector(surrogates, assignment, s: float, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {u.size} surrogates, one per coordinate, "
                          f"got {assignment.size}")
     out = np.empty_like(u)
+    covered = 0
     for m, sur in enumerate(surrogates, 1):
         sel = np.flatnonzero(assignment == m)
-        if not sel.size:
-            continue
-        out[sel] = _surrogate_prox(sur, s, u[sel], sel)
+        covered += sel.size
+        if sel.size:
+            out[sel] = _surrogate_prox(sur, s, u[sel], sel)
+    if covered != u.size:
+        i = np.flatnonzero(~np.isin(assignment, np.arange(1, len(surrogates) + 1)))[0]
+        raise ValueError(f"coordinate {i} has surrogate number {assignment[i]}, "
+                         f"outside 1..{len(surrogates)}")
     return out
 
 

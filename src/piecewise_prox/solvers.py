@@ -22,7 +22,10 @@ penalties.  A ``ppgd`` step runs ``Problem``'s ``project``, ``prox_step``
 and ``nce``, each one array rule over that table, and its
 ``surrogate_penalty`` and ``assignments``; the others its ``prox_exact``.
 With a single convex piece the projection is the identity and ``ppgd``
-reduces exactly to ``apg_monotone``.
+reduces exactly to ``apg_monotone``.  A step that keeps x because its probe
+failed the objective test restarts the momentum (see ``_solve``).  The paper
+analyses the unrestarted t_k sequence; after the last crossing, ``ppgd`` is
+monotone accelerated proximal gradient with these restarts.
 """
 
 from __future__ import annotations
@@ -292,6 +295,7 @@ class Trace:
             "n_transitions": int(self.n_transitions[-1]),
             "final_residual": self.final_residual,
             "wall_ms_total": float(np.sum(self.wall_ms)),
+            "k0": self.last_transition_index(),
         }
 
 
@@ -349,6 +353,13 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     transitions and the trace, applies the ``stop_tol`` early stop and
     computes the final stationarity residual.
 
+    A ``guard-reject`` or ``revert`` keeps x and resets the momentum to the
+    state the loop starts in (z = x, t_prev = 0, t = 1), so the next u is x
+    and that step is a plain prox-gradient step from x, which passes the
+    objective test at s <= 1/L_g by the descent lemma (adaptive restart,
+    O'Donoghue & Candes 2015).  An ``nce-reject`` does not restart: from
+    u = x its probe would come back the same, and the run would stall.
+
     Next to each of x, x_prev and z the loop carries its product with the
     feature matrix X (px, px_prev, pz), each a fresh product of its own
     vector: an accepted iterate takes over its probe's.  u is affine in x,
@@ -402,6 +413,8 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
                 last_transition = k
             x, px, assign = z, pz, new_assign
         t_prev, t = t, tk_next(t)
+        if outcome in ("guard-reject", "revert"):
+            z, pz, t_prev, t = x, px, 0.0, 1.0
 
         wall = (time.perf_counter() - tic) * 1e3 if record_timing else 0.0
         rows.append((k, F_x, F_probe, transition, outcome, wall, x))
@@ -449,9 +462,10 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
     for a probe on new pieces, the NCE rule and the same test on its true
     F(z).  On a probe that stays on x's pieces the
     surrogate objective is the true F(z), summed exactly as F(x) is, so a
-    probe equal to x always passes the guard.  ``stop_tol`` enables an early
-    stop once the stationarity residual drops below it with no transition in
-    the last 10 iterations.
+    probe equal to x always passes the guard.  A guard-reject restarts the
+    momentum and an nce-reject does not (see ``_solve``).  ``stop_tol``
+    enables an early stop once the stationarity residual drops below it with
+    no transition in the last 10 iterations.
     """
     if not 0.0 < w0 <= 1.0:
         raise ValueError("w0 must lie in (0, 1]")
@@ -500,7 +514,8 @@ def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
 
     z is the accelerated probe prox_{sh}(u - s grad g(u)); x advances to z only
     when F(z) <= F(x) up to ``_F_RTOL`` |F(x)|, the rounding of the sums, which
-    keeps the objective column nonincreasing up to that rounding.
+    keeps the objective column nonincreasing up to that rounding.  A revert
+    restarts the momentum (see ``_solve``), as ``ppgd``'s guard-reject does.
     """
 
     def step(x, px, u, pu, assign, F_x, s):

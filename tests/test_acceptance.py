@@ -144,6 +144,17 @@ def test_criterion_4_eventual_piece_stability(seeded_traces):
     report(4, f"piece assignment constant after the last transition in {checked} runs")
 
 
+def test_restart_after_a_rejected_probe(seeded_traces):
+    # a guard-reject or revert restarts the momentum, so the next probe is a
+    # plain prox-gradient step from x, which passes at the default step
+    rejected = 0
+    for seed, name, trace in seeded_traces[0]:
+        kept = np.isin(trace.nce_outcomes, ("guard-reject", "revert"))
+        assert not np.any(kept[1:] & kept[:-1]), f"{name} seed {seed} rejected twice in a row"
+        rejected += int(kept.sum())
+    assert rejected > 0
+
+
 # ---------------------------------------------------------------------------
 # criterion 3: certified kappa decrease at transitions
 # ---------------------------------------------------------------------------

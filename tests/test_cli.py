@@ -170,6 +170,9 @@ class TestBenchmark:
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["report.json", "trace_apg.csv", "trace_pgd.csv", "trace_ppgd.csv"]
+        rows = json.loads((out_dir / "report.json").read_text())["solvers"]
+        for row in rows:
+            assert f"{row['solver']}: " in out and f"k0 = {row['k0']}, rate slope = " in out
 
     def test_writes_only_inside_output_dir(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "results"

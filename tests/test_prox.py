@@ -198,6 +198,13 @@ class TestVector:
         with pytest.raises(ValueError, match="surrogates"):
             prox_vector(fn.surrogates, [1], 0.5, np.zeros(2))
 
+    @pytest.mark.parametrize("assign, first", [([0, 4, 2], 0), ([1, 2, 4], 2), ([1, 1.5, 2], 1)])
+    def test_number_outside_table(self, assign, first):
+        # no entry serves such a coordinate; it once came back as np.empty garbage
+        fn = capped_l1(0.2, 1.0)
+        with pytest.raises(ValueError, match=f"coordinate {first} .* outside 1..3"):
+            prox_vector(fn.surrogates, np.array(assign), 0.5, np.array([1.0, 2.0, 3.0]))
+
 
 def linear_wings():
     # quadratic bowl piece between affine pieces: its surrogate is the

@@ -333,7 +333,8 @@ class TestPpgd:
     def test_row_order_does_not_pick_the_path(self):
         # the same problem with its rows shuffled: sums round differently, and
         # the to-tolerance solve ends at a plateau where F moves by ulps.  With
-        # an exact guard this took 100, 111 or 112 iterations by row order.
+        # an exact guard this took 100, 111 or 112 iterations by row order, and
+        # 110 with the rounding slack but no restart after a guard-reject.
         data, _ = synth("classification", n=10000, d=64, sparsity=0.0625, noise=0.5,
                         seed=1, feature_scale=2.0)
         lengths = set()
@@ -342,8 +343,9 @@ class TestPpgd:
             prob = Problem(logistic_loss(Dataset(data.features[rows], data.labels[rows])),
                            capped_l1(0.2, 0.4))
             trace = ppgd(prob, np.zeros(64), K=1000, stop_tol=1e-8, record_timing=False)
-            lengths.add(len(trace.k))
+            lengths.add(int(trace.k[-1]))
         assert len(lengths) == 1, sorted(lengths)
+        assert lengths.pop() <= 60
 
     def test_guard_passes_a_rise_within_rounding(self):
         F_x = 0.5480703234715039

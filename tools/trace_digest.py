@@ -8,13 +8,18 @@ Runs the traces that must stay bit-identical across a change:
 * both benchmark workloads of bench/workloads.py at row seeds 1-5: the
   to-tolerance ``ppgd`` solve and one fixed-K call of each solver.
 
-A digest covers the objective and surrogate columns, the transitions, the
-outcome labels, the iterates and ``final_residual``; timings are off.  The
-script imports the library from the ``src/`` of its own tree and reads
-bench/ and tests/ without writing there.  To check a change, run it in both
-trees and diff the outputs::
+Each line ends with the digest.  Before it stand the final objective
+(``F=``, its repr), the number of piece transitions and the count of each
+outcome label, so a diff shows how a changed trace moved.  A digest covers
+the objective and surrogate columns, the transitions, the outcome labels, the
+iterates and ``final_residual``; timings are off.  The script imports the
+library from the ``src/`` of its own tree and reads bench/ and tests/ without
+writing there.  To check a change, run this version of the script in both
+trees (copy it into the other tree if that one predates it) and diff the
+outputs::
 
     python3 tools/trace_digest.py > after.txt
+    cp tools/trace_digest.py ../parent/tools/
     (cd ../parent && python3 tools/trace_digest.py) > before.txt
     diff before.txt after.txt
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +54,14 @@ def digest(trace) -> str:
     return h.hexdigest()
 
 
+def describe(trace) -> str:
+    """Final F, transition count, outcome counts and digest of one trace."""
+    outcomes = Counter(trace.nce_outcomes[1:])
+    counts = ",".join(f"{label}:{n}" for label, n in sorted(outcomes.items()))
+    return (f"F={trace.final_objective!r} transitions={int(trace.n_transitions[-1])} "
+            f"outcomes={counts} {digest(trace)}")
+
+
 def workload_problem(wl, seed: int):
     """The benchmark's problem for one workload and row seed."""
     data, _ = pp.synth(**wl.data)
@@ -61,16 +75,16 @@ def main() -> None:
     for seed, prob in _seeded_problems():
         for name, solver in SOLVERS.items():
             trace = solver(prob, np.zeros(prob.d), K=150, record_timing=False)
-            print(f"tier1 seed={seed} {name} K=150 {digest(trace)}")
+            print(f"tier1 seed={seed} {name} K=150 {describe(trace)}")
     for wl in WORKLOADS.values():
         for seed in SEEDS:
             prob = workload_problem(wl, seed)
             x0 = np.zeros(wl.d)
             trace = pp.ppgd(prob, x0, K=CAP_ITERS, stop_tol=wl.stop_tol, record_timing=False)
-            print(f"{wl.name} seed={seed} ppgd to-tol iters={int(trace.k[-1])} {digest(trace)}")
+            print(f"{wl.name} seed={seed} ppgd to-tol iters={int(trace.k[-1])} {describe(trace)}")
             for name, solver in SOLVERS.items():
                 trace = solver(prob, x0, K=wl.K, record_timing=False)
-                print(f"{wl.name} seed={seed} {name} K={wl.K} {digest(trace)}")
+                print(f"{wl.name} seed={seed} {name} K={wl.K} {describe(trace)}")
 
 
 if __name__ == "__main__":
