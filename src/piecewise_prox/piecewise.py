@@ -500,12 +500,12 @@ class PiecewiseFn:
     @cached_property
     def _owner_values(self):
         """(q, f(q), unowned): the breakpoint values ascending, the penalty at
-        each (the bytes ``evaluate`` gives) and, per piece, the (edges, values)
-        of its finite edges that another piece owns; no membership pass."""
+        each (the bytes ``evaluate`` gives) and, per piece, the (edges, values,
+        owners) of its finite edges that another piece owns; no membership pass."""
         q, at = self._cuts[:-1], self._at[:-1]
         fq = self.surrogate_values(q, at)
         foreign = [((q == p.left) | (q == p.right)) & (at != p.index) for p in self.pieces]
-        return q, fq, tuple((q[f], fq[f]) for f in foreign)
+        return q, fq, tuple((q[f], fq[f], at[f]) for f in foreign)
 
     # -- surrogates -----------------------------------------------------------
 

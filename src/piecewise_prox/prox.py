@@ -10,7 +10,8 @@ wing.  ``prox_surrogate`` applies it at one point, ``prox_vector`` to each
 coordinate by its entry in a table of surrogates, one array call per entry
 present.  ``prox_true`` is the exact prox of the full penalty: each piece's
 closure candidate and every breakpoint, each valued once by the piece that
-produced it.  Ties go to the library rule (``_pick_columns``).  Every
+produced it, so the winner's value and piece come with it
+(``_prox_true_valued``).  Ties go to the library rule (``_pick_rows``).  Every
 grid-section search runs on all of its brackets at once (``_section_min``):
 each round samples a fixed 17-point grid across every bracket and keeps the
 two cells around the least sample, until the bracket is at most 1e-12 wide; a
@@ -106,20 +107,31 @@ def _section_min(psi: Callable, lo, hi, tol: float = 1e-12, iters: int = 200):
     return best_v, best_f
 
 
-def _pick_columns(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _pick_rows(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Per column, the candidate row of least psi under the library tie rule.
 
     Among the rows that reach the column's least psi it keeps the smaller |v|,
     then the smaller v, then the earlier row, which is what folding
     ``min(a, b, key=lambda v: (abs(v), v))`` over those rows in order returns
-    (0.0 and -0.0 tie, so the earlier wins).  psi must not contain NaN.
+    (0.0 and -0.0 tie, so the earlier wins).  The keys run only on columns
+    where those rows hold unequal values.  psi must not contain NaN.
     """
     ok = psi == psi.min(axis=0)
-    mag = np.where(ok, np.abs(cands), np.inf)
-    ok &= mag == mag.min(axis=0)
-    val = np.where(ok, cands, np.inf)
-    ok &= val == val.min(axis=0)
-    return cands[ok.argmax(axis=0), np.arange(cands.shape[1])]
+    rows = ok.argmax(axis=0)
+    tied = np.flatnonzero((ok & (cands != cands[rows, np.arange(rows.size)])).any(axis=0))
+    if tied.size:
+        c, ok = cands[:, tied], ok[:, tied]
+        mag = np.where(ok, np.abs(c), np.inf)
+        ok &= mag == mag.min(axis=0)
+        val = np.where(ok, c, np.inf)
+        ok &= val == val.min(axis=0)
+        rows[tied] = ok.argmax(axis=0)
+    return rows
+
+
+def _pick_columns(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Per column, the candidate ``_pick_rows`` picks."""
+    return cands[_pick_rows(cands, psi), np.arange(cands.shape[1])]
 
 
 def _check_nan(bad: np.ndarray, coords) -> None:
@@ -195,11 +207,11 @@ def _closure_candidate(sur: SurrogateFn, s: float, u: np.ndarray, coords) -> np.
     u = -0.0 at q = 0), the shape's closed-form prox clipped to the closure,
     or a custom shape's grid-section search."""
     p = sur.piece
-    if p.is_point:
-        return np.clip(u, p.left, p.right)
+    if p.is_point:  # the clip method skips np.clip's wrapper and its 1.5 us
+        return u.clip(p.left, p.right)
     if isinstance(p.shape, CustomShape):
         return _closure_prox(sur, s, u, p.left, p.right, coords)
-    return np.clip(p.shape.prox(u, s), p.left, p.right)
+    return p.shape.prox(u, s).clip(p.left, p.right)
 
 
 def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: float,
@@ -305,21 +317,27 @@ def prox_vector(surrogates, assignment, s: float, u: np.ndarray) -> np.ndarray:
     naming the first coordinate that has one.
     """
     u = np.asarray(u, dtype=float)
-    assignment = np.asarray(assignment)
-    if assignment.shape != u.shape:
-        raise ValueError(f"expected {u.size} surrogates, one per coordinate, "
+    return _prox_entries(_entries(surrogates, np.asarray(assignment), u.shape), s, u)
+
+
+def _entries(surrogates, assignment: np.ndarray, shape) -> list:
+    """(surrogate, coordinates) per table entry in use; a bad shape or number raises ValueError."""
+    if assignment.shape != shape:
+        raise ValueError(f"expected {math.prod(shape)} surrogates, one per coordinate, "
                          f"got {assignment.size}")
-    out = np.empty_like(u)
-    covered = 0
-    for m, sur in enumerate(surrogates, 1):
-        sel = np.flatnonzero(assignment == m)
-        covered += sel.size
-        if sel.size:
-            out[sel] = _surrogate_prox(sur, s, u[sel], sel)
-    if covered != u.size:
+    entries = [(sur, np.flatnonzero(assignment == m)) for m, sur in enumerate(surrogates, 1)]
+    if sum(sel.size for _, sel in entries) != assignment.size:
         i = np.flatnonzero(~np.isin(assignment, np.arange(1, len(surrogates) + 1)))[0]
         raise ValueError(f"coordinate {i} has surrogate number {assignment[i]}, "
                          f"outside 1..{len(surrogates)}")
+    return [(sur, sel) for sur, sel in entries if sel.size]
+
+
+def _prox_entries(entries, s: float, u: np.ndarray) -> np.ndarray:
+    """The prox of each entry's surrogate on its coordinates of u."""
+    out = np.empty_like(u)
+    for sur, sel in entries:
+        out[sel] = _surrogate_prox(sur, s, u[sel], sel)
     return out
 
 
@@ -331,20 +349,31 @@ def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
     objective (ties broken by the library rule).  Restricted to a closure each
     shape is continuous and convex, so the clipped closed form is exact there.  A
     candidate takes its piece's shape, or the owner's f(q) on a breakpoint
-    row or an edge its piece does not own, as the membership rule values it.
+    row or an edge its piece does not own, as the membership rule values it,
+    so the winner's value and piece come free (``_prox_true_valued``).
     """
+    return _prox_true_valued(fn, s, u)[0]
+
+
+def _prox_true_valued(fn: PiecewiseFn, s: float, u: np.ndarray):
+    """``prox_true``'s point, with f there and the 1-based piece that owns it
+    as its row has them: the row's piece, or the owner of its breakpoint."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.isfinite(u).all():
         fn.piece_index(u)  # raises the membership rule's ValueError
     q, fq, unowned = fn._owner_values
-    cands = np.empty((fn.n_pieces + q.size, u.size))
-    values = np.empty_like(cands)
-    cands[fn.n_pieces:], values[fn.n_pieces:] = q[:, None], fq[:, None]
+    n = fn.n_pieces
+    cands = np.empty((n + q.size, u.size))
+    values, pieces = np.empty_like(cands), np.empty(cands.shape, dtype=np.int64)
+    cands[n:], values[n:], pieces[n:] = q[:, None], fq[:, None], fn._at[:-1, None]
     coords = np.arange(u.size)
-    for m, (p, (edges, edge_values)) in enumerate(zip(fn.pieces, unowned), 1):
+    for m, (p, (edges, edge_values, owners)) in enumerate(zip(fn.pieces, unowned), 1):
         v = _closure_candidate(fn.surrogate(m), s, u, coords)
-        cands[m - 1], values[m - 1] = v, p.shape(v)
-        for e, fe in zip(edges, edge_values):
+        cands[m - 1], values[m - 1], pieces[m - 1] = v, p.shape(v), m
+        for e, fe, owner in zip(edges, edge_values, owners):
             np.copyto(values[m - 1], fe, where=v == e)
+            np.copyto(pieces[m - 1], owner, where=v == e)
     psi = (cands - u) ** 2 / (2.0 * s) + values
-    return _pick_checked(cands, psi, coords)
+    _check_nan(np.isnan(psi).any(axis=0), coords)
+    rows = _pick_rows(cands, psi)
+    return cands[rows, coords], values[rows, coords], pieces[rows, coords]

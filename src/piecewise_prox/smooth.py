@@ -110,14 +110,12 @@ def _lanczos_top(apply, m: int) -> float:
     return max(float(np.linalg.eigvalsh(T)[-1]), 0.0)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # 0.5 * (1 + tanh(t/2)) is overflow-safe for any t
-    return 0.5 * (1.0 + np.tanh(0.5 * t))
-
-
 def _log1pexp(t: np.ndarray) -> np.ndarray:
     # log(1 + exp(t)) without overflow: exp only ever sees -|t|
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    tail = np.abs(t)
+    np.log1p(np.exp(np.negative(tail, out=tail), out=tail), out=tail)
+    tail += np.maximum(t, 0.0)
+    return tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +169,8 @@ class SmoothLoss:
         if self.kind == "least-squares":
             r = y - Xx
             return float(r @ r)
-        margins = y * Xx
-        return float(np.mean(_log1pexp(-margins)))
+        t = y * Xx  # the margins, then negated; add.reduce / n is np.mean's division
+        return float(np.add.reduce(_log1pexp(np.negative(t, out=t))) / self.data.n)
 
     def gradient(self, x, Xx=None) -> np.ndarray:
         Xx = self._product(x, Xx)
@@ -188,8 +186,15 @@ class SmoothLoss:
         y = self.data.labels
         if self.kind == "least-squares":
             return 2.0 * (Xx - y)
-        margins = y * Xx
-        return -y * _sigmoid(-margins) / self.data.n
+        # -y * sigmoid(-margins) / n in one buffer, with sigmoid(t) = 0.5 (1 + tanh(t/2)),
+        # overflow-safe for any t; -(y * a) rounds as (-y) * a, so the bits stay
+        r = y * Xx
+        np.tanh(np.multiply(np.negative(r, out=r), 0.5, out=r), out=r)
+        r += 1.0
+        r *= 0.5
+        np.negative(np.multiply(r, y, out=r), out=r)
+        r /= self.data.n
+        return r
 
     def lipschitz_bound(self) -> float:
         return self.lipschitz

@@ -18,14 +18,14 @@ Three algorithms share the machinery here:
 All three run through one loop, ``_solve``, and differ only in their
 per-iteration step, which hands the loop the piece assignment of the iterate
 it accepts, as numbers into ``Problem``'s one table of the pieces of all its
-penalties.  A ``ppgd`` step runs ``Problem``'s ``project``, ``prox_step``
-and ``nce``, each one array rule over that table, and its
-``surrogate_penalty`` and ``assignments``; the others its ``prox_exact``.
-With a single convex piece the projection is the identity and ``ppgd``
-reduces exactly to ``apg_monotone``.  A step that keeps x because its probe
-failed the objective test restarts the momentum (see ``_solve``).  The paper
-analyses the unrestarted t_k sequence; after the last crossing, ``ppgd`` is
-monotone accelerated proximal gradient with these restarts.
+penalties.  A ``ppgd`` step runs ``Problem``'s ``project``, ``prox_step``,
+``surrogate_penalty`` and ``nce``, each one array rule over that table; the
+others its ``prox_exact``, which values its own output.  With a single convex
+piece the projection is the identity and ``ppgd`` reduces exactly to
+``apg_monotone``.  A step that keeps x because its probe failed the objective
+test restarts the momentum (see ``_solve``).  The paper analyses the
+unrestarted t_k sequence; after the last crossing, ``ppgd`` is monotone
+accelerated proximal gradient with these restarts.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .piecewise import CASE_CONTINUOUS_LINEAR, PiecewiseFn
-from .prox import prox_true, prox_vector
+from .prox import _entries, _prox_entries, _prox_true_valued
 from .smooth import SmoothLoss
 
 __all__ = [
@@ -61,6 +62,16 @@ class SolverError(RuntimeError):
     pass
 
 
+class _PiecePlan(namedtuple("_PiecePlan", "assign lo hi own_lo own_hi entries")):
+    """One piece assignment as ``Problem`` reads it: a read-only copy of its
+    numbers, per coordinate the bounds of its piece's closure (lo, hi) and of
+    the set the piece owns (own_lo, own_hi), and each entry's coordinates."""
+
+    def holds(self, z: np.ndarray) -> bool:
+        """Whether every z_i is strictly inside its piece or on an edge it owns."""
+        return bool(((z >= self.own_lo) & (z <= self.own_hi)).all())
+
+
 # ---------------------------------------------------------------------------
 # problem container
 # ---------------------------------------------------------------------------
@@ -76,17 +87,21 @@ class Problem:
     one penalty, in order of first use) after another, into a table of their
     surrogates.  A piece assignment is a 1-based number into that table: a
     group's piece m is offset + m, so with one shared penalty it is m itself.
+    ``project``, ``prox_step`` and ``surrogate_penalty`` read the piece plan
+    of their assignment, built anew only for numbers unlike the latest's.
     """
 
     loss: SmoothLoss
     penalty: object
     _groups: tuple = field(init=False, repr=False, default=())  # (fn, coordinates, offset)
     _surrogates: tuple = field(init=False, repr=False, default=())  # the piece table
-    # rows (left, right) per table entry: the closure bounds of its piece, and
-    # whether the endpoint record on that side is continuous (False if none)
+    # rows (left, right) per table entry: its piece's closure bounds, those of the
+    # set it owns (an edge it does not own one float inward), and whether the
+    # endpoint record on that side is continuous
     _bounds: np.ndarray = field(init=False, repr=False, default=None)
     _record_continuous: np.ndarray = field(init=False, repr=False, default=None)
     _r0: np.ndarray = field(init=False, repr=False, default=None)  # R0 per coordinate
+    _latest: Optional[_PiecePlan] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         d = self.loss.d
@@ -108,11 +123,16 @@ class Problem:
             groups.append((fn, ix, len(table)))
             table += fn.surrogates
             r0[ix] = fn.R0
-        bounds = [[sur.piece.left for sur in table], [sur.piece.right for sur in table]]
+        closure = np.array([[sur.piece.left, sur.piece.right] for sur in table]).T
+        owns = np.array([[0 <= j < len(sur.source.endpoints)
+                          and sur.source.endpoints[j].owner == sur.m
+                          for j in (sur.m - 2, sur.m - 1)] for sur in table]).T
+        inward = np.nextafter(closure, [[np.inf], [-np.inf]])
+        bounds = np.vstack([closure, np.where(owns, closure, inward)])
         continuous = [[sur.left_case == CASE_CONTINUOUS_LINEAR for sur in table],
                       [sur.right_case == CASE_CONTINUOUS_LINEAR for sur in table]]
         for name, value in (("_groups", tuple(groups)), ("_surrogates", tuple(table)),
-                            ("_bounds", np.array(bounds)),
+                            ("_bounds", bounds),
                             ("_record_continuous", np.array(continuous)),
                             ("_r0", r0)):
             object.__setattr__(self, name, value)
@@ -138,35 +158,56 @@ class Problem:
             out[ix] = fn.piece_index(x[ix]) + offset
         return out
 
+    def _plan(self, assignment) -> _PiecePlan:
+        """The latest piece plan if it has ``assignment``'s numbers, else a new
+        one.  Callers may race: each reads the plan it got, at worst rebuilt."""
+        plan = self._latest
+        if plan is None or (assignment is not plan.assign
+                            and not np.array_equal(plan.assign, assignment)):
+            assign = np.array(assignment)  # a copy: the caller may change its array
+            entries = _entries(self._surrogates, assign, (self.d,))
+            assign.flags.writeable = False
+            # np.take: indexing [:, a] gathers 4x slower at d = 10^4
+            plan = _PiecePlan(assign, *np.take(self._bounds, assign - 1, axis=1), entries)
+            object.__setattr__(self, "_latest", plan)
+        return plan
+
     def surrogate_penalty(self, assignment, v) -> float:
         """sum_i of table entry assignment_i's surrogate at v_i, one sum per
         penalty group: the penalty sum_i f(v_i) when the pieces are v's own."""
         v = np.asarray(v, dtype=float)
+        values = np.empty(self.d)
+        for sur, sel in self._plan(assignment).entries:
+            values[sel] = sur(v[sel])
         total = 0.0
-        for fn, ix, offset in self._groups:
-            total += float(np.sum(fn.surrogate_values(v[ix], assignment[ix] - offset)))
+        for _, ix, _ in self._groups:
+            total += float(np.sum(values[ix]))
         return total
 
     def prox_step(self, assignment, s: float, v: np.ndarray) -> np.ndarray:
         """Prox of the surrogates of the assigned table entries."""
-        return prox_vector(self._surrogates, assignment, s, v)
+        v = np.asarray(v, dtype=float).reshape(self.d)  # a v of another size raises
+        return _prox_entries(self._plan(assignment).entries, s, v)
 
-    def prox_exact(self, s: float, v: np.ndarray) -> np.ndarray:
-        """Exact prox of the full penalty, one penalty group at a time."""
+    def prox_exact(self, s: float, v: np.ndarray):
+        """(z, X @ z, F(z), z's piece assignment) for z the exact prox at v, one
+        penalty group at a time, with f as its own valuation gives it."""
         v = np.asarray(v, dtype=float)
-        out = np.empty_like(v)
-        for fn, ix, _ in self._groups:
-            out[ix] = prox_true(fn, s, v[ix])
-        return out
+        z, assign, total = np.empty_like(v), np.empty(self.d, dtype=np.int64), 0.0
+        for fn, ix, offset in self._groups:
+            z[ix], values, pieces = _prox_true_valued(fn, s, v[ix])
+            assign[ix] = pieces + offset
+            total += float(np.sum(values))
+        pz = self.loss.data.features @ z
+        return z, pz, self.loss.value(z, pz) + total, assign
 
     def project(self, x, u, assignment) -> np.ndarray:
         """Clamp u coordinatewise to the closure of x_i's piece intersected
         with the radius-R0 box around x_i; an infinite R0 leaves the closure."""
+        plan = self._plan(assignment)
         x = np.asarray(x, dtype=float)
-        # np.take: indexing [:, a] gathers 4x slower at d = 10^4
-        lo, hi = np.take(self._bounds, assignment - 1, axis=1)
-        return np.clip(np.asarray(u, dtype=float), np.maximum(lo, x - self._r0),
-                       np.minimum(hi, x + self._r0))
+        return np.asarray(u, dtype=float).clip(np.maximum(plan.lo, x - self._r0),
+                                               np.minimum(plan.hi, x + self._r0))
 
     def nce(self, z, w, w0: float, assign_x, assign_z) -> bool:
         """Whether negative-curvature exploitation accepts the probe z, taken
@@ -184,7 +225,7 @@ class Problem:
         """
         cross = np.flatnonzero(assign_z != assign_x)
         wc, zc, a = w[cross], z[cross], assign_x[cross] - 1
-        lo, hi = np.take(self._bounds, a, axis=1)
+        lo, hi = np.take(self._bounds[:2], a, axis=1)
         seg_lo, seg_hi = np.minimum(wc, zc), np.maximum(wc, zc)
         lo_in = np.isfinite(lo) & (seg_lo <= lo) & (lo <= seg_hi)
         hi_in = np.isfinite(hi) & (seg_lo <= hi) & (hi <= seg_hi)
@@ -223,7 +264,11 @@ def extrapolate(x, x_prev, z, t_prev: float, t: float) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if x.shape != x_prev.shape or x.shape != z.shape:
         raise ValueError("dimension mismatch in extrapolation")
-    return x + (t_prev / t) * (z - x) + ((t_prev - 1.0) / t) * (x - x_prev)
+    u = z - x  # the formula's operations in its order, mostly in place
+    u *= t_prev / t
+    u += x
+    u += np.multiply(x - x_prev, (t_prev - 1.0) / t)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +381,6 @@ def _check_finite(F: float, solver: str, k: int) -> None:
         raise SolverError(f"{solver}: non-finite objective at iteration {k} (diverging step?)")
 
 
-def _objective_and_pieces(problem: Problem, x):
-    """(F(x), piece assignment of x, X @ x) from one product and one
-    membership pass."""
-    Xx = problem.loss.data.features @ x
-    assign = problem.assignments(x)
-    return problem.loss.value(x, Xx) + problem.surrogate_penalty(assign, x), assign, Xx
-
-
 def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
            w0: Optional[float], stop_tol: Optional[float], record_timing: bool) -> Trace:
     """The iteration every solver shares.
@@ -351,7 +388,8 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     Validates the arguments (``stop_tol`` is None or positive), keeps the
     momentum state (x_prev, z, t) and extrapolates u from it, records piece
     transitions and the trace, applies the ``stop_tol`` early stop and
-    computes the final stationarity residual.
+    computes the final stationarity residual, both on x's pieces as the
+    loop holds them.
 
     A ``guard-reject`` or ``revert`` keeps x and resets the momentum to the
     state the loop starts in (z = x, t_prev = 0, t = 1), so the next u is x
@@ -373,9 +411,9 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     extrapolation with its product, the objective the step judged it by (the
     trace's ``F_surrogate_z`` column), the outcome label, and ``(F(z), piece
     assignment of z)`` when z becomes the next iterate, None when x stays.
-    Every objective value, F(x) and the probe's, is the loss plus one
-    ``Problem.surrogate_penalty`` sum, so a probe that stays on x's pieces is
-    valued by its true F, summed exactly as F(x) is.
+    Every objective value is the loss plus a penalty summed as
+    ``Problem.surrogate_penalty`` sums it, so a probe that stays on x's pieces
+    is valued by its true F, summed exactly as F(x) is.
     """
     if not isinstance(K, numbers.Integral) or K < 0:
         raise ValueError(f"K must be a nonnegative integer, got {K!r}")
@@ -390,7 +428,9 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
 
     x_prev = z = x
     t_prev, t = 0.0, 1.0
-    F_x, assign, px = _objective_and_pieces(problem, x)
+    px = problem.loss.data.features @ x
+    assign = problem._plan(problem.assignments(x)).assign
+    F_x = problem.loss.value(x, px) + problem.surrogate_penalty(assign, x)
     px_prev = pz = px
     _check_finite(F_x, solver, 0)
     # one row per trace line; x is never changed in place, so no row copies it
@@ -420,7 +460,7 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
         rows.append((k, F_x, F_probe, transition, outcome, wall, x))
 
         if (stop_tol is not None and k - last_transition >= 10
-                and stationarity_residual(problem, x, s, px) < stop_tol):
+                and _residual(problem, x, s, px, assign) < stop_tol):
             break
 
     ks, F, F_sz, transitions, outcomes, walls, xs = zip(*rows)
@@ -432,7 +472,7 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
                  nce_outcomes=list(outcomes),
                  wall_ms=np.asarray(walls, dtype=float),
                  iterates=np.stack(xs, axis=0),
-                 final_residual=stationarity_residual(problem, x, s, px))
+                 final_residual=_residual(problem, x, s, px, assign))
 
 
 def _shifted_product(X: np.ndarray, pu: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -460,12 +500,12 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
     surrogates of those pieces; accept through the surrogate-objective guard
     F_s(z) <= F(x) (up to ``_F_RTOL`` |F(x)|, the rounding of the sums) and,
     for a probe on new pieces, the NCE rule and the same test on its true
-    F(z).  On a probe that stays on x's pieces the
-    surrogate objective is the true F(z), summed exactly as F(x) is, so a
-    probe equal to x always passes the guard.  A guard-reject restarts the
-    momentum and an nce-reject does not (see ``_solve``).  ``stop_tol``
-    enables an early stop once the stationarity residual drops below it with
-    no transition in the last 10 iterations.
+    F(z).  On a probe that stays on x's pieces, as the piece plan's bounds
+    test tells with no membership pass, the surrogate objective is the true
+    F(z), summed exactly as F(x) is, so a probe equal to x passes the guard.
+    A guard-reject restarts the momentum and an nce-reject does not (see
+    ``_solve``).  ``stop_tol`` enables an early stop once the stationarity
+    residual drops below it with no transition in the last 10 iterations.
     """
     if not 0.0 < w0 <= 1.0:
         raise ValueError("w0 must lie in (0, 1]")
@@ -481,10 +521,11 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
         F_sz = g_z + problem.surrogate_penalty(assign, z)
         if not _no_worse(F_sz, F_x):
             return z, pz, F_sz, "guard-reject", None
-        assign_z = problem.assignments(z)
-        if np.array_equal(assign_z, assign):
+        if problem._plan(assign).holds(z):
             return z, pz, F_sz, "same-piece", (F_sz, assign)
+        assign_z = problem.assignments(z)
         if problem.nce(z, w, w0, assign, assign_z):
+            assign_z = problem._plan(assign_z).assign  # the loop keeps the plan's array
             F_z = g_z + problem.surrogate_penalty(assign_z, z)
             if _no_worse(F_z, F_x):
                 return z, pz, F_sz, "nce-accept", (F_z, assign_z)
@@ -497,12 +538,14 @@ def pgd(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
         record_timing: bool = True) -> Trace:
     """Proximal gradient descent with the exact prox of the full penalty.
 
-    The step starts from x and never uses the extrapolated point.
+    The step starts from x and never uses the extrapolated point.  A rise
+    of F beyond ``_no_worse`` (a step s above 1/L_g) raises SolverError.
     """
 
     def step(x, px, u, pu, assign, F_x, s):
-        z = problem.prox_exact(s, x - s * problem.loss.gradient(x, px))
-        F_z, assign_z, pz = _objective_and_pieces(problem, z)
+        z, pz, F_z, assign_z = problem.prox_exact(s, x - s * problem.loss.gradient(x, px))
+        if not (_no_worse(F_z, F_x) or math.isnan(F_z)):
+            raise SolverError(f"pgd: F rose from {F_x!r} to {F_z!r} (s={s!r} above 1/L_g?)")
         return z, pz, F_z, "step", (F_z, assign_z)
 
     return _solve("pgd", step, problem, x0, s, K, None, None, record_timing)
@@ -519,8 +562,7 @@ def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
     """
 
     def step(x, px, u, pu, assign, F_x, s):
-        z = problem.prox_exact(s, u - s * problem.loss.gradient(u, pu))
-        F_z, assign_z, pz = _objective_and_pieces(problem, z)
+        z, pz, F_z, assign_z = problem.prox_exact(s, u - s * problem.loss.gradient(u, pu))
         if _no_worse(F_z, F_x):
             return z, pz, F_z, "accept", (F_z, assign_z)
         return z, pz, F_z, "revert", None
@@ -543,8 +585,12 @@ def stationarity_residual(problem: Problem, x, s: float, Xx=None) -> float:
     """
     _check_step(s)
     x = np.asarray(x, dtype=float)
-    grad = problem.loss.gradient(x, Xx)
-    p = problem.prox_step(problem.assignments(x), s, x - s * grad)
+    return _residual(problem, x, s, Xx, problem.assignments(x))
+
+
+def _residual(problem: Problem, x: np.ndarray, s: float, Xx, assign) -> float:
+    """``stationarity_residual`` with the piece assignment of x given."""
+    p = problem.prox_step(assign, s, x - s * problem.loss.gradient(x, Xx))
     return float(np.linalg.norm(x - p) / s)
 
 

@@ -17,6 +17,7 @@ from piecewise_prox import (
     Problem,
     apg_monotone,
     build_problem,
+    capped_l1,
     default_step_size,
     fit_rate,
     l1_penalty,
@@ -401,14 +402,18 @@ class TestRunExperiment:
 
 
 class TestMembershipPasses:
-    # One piece_index call per penalty group (the desk problem has one) for
-    # the start point, for each step that values a new point's pieces and for
-    # the final residual.  A ppgd guard-reject keeps x and its pieces and takes
-    # no pass; apg and pgd value each of their 40 probes once, and prox_true
-    # values its candidates with no membership pass.
-    @pytest.mark.parametrize("solver, calls", [pytest.param(ppgd, None, id="ppgd-per-outcome"),
-                                               (apg_monotone, 42), (pgd, 42)])
-    def test_piece_index_calls(self, tmp_path, monkeypatch, solver, calls):
+    # One piece_index call per penalty group (the problems here have one) for
+    # the start point, and one for each ppgd probe that passes the guard but
+    # leaves x's pieces (an nce-accept or nce-reject).  The piece plan's
+    # bounds test finds a same-piece probe, a guard-reject keeps x, the stop
+    # test and the final residual reuse x's pieces, and apg and pgd take z's
+    # pieces from the exact prox's own valuation: none of them takes a pass.
+    @pytest.mark.parametrize("solver, stop_tol, calls", [
+        pytest.param(ppgd, None, None, id="ppgd-per-outcome"),
+        pytest.param(ppgd, 1e-8, None, id="ppgd-to-tolerance"),
+        pytest.param(apg_monotone, None, 1, id="apg_monotone-1"),
+        pytest.param(pgd, None, 1, id="pgd-1")])
+    def test_piece_index_calls(self, tmp_path, monkeypatch, solver, stop_tol, calls):
         problem, x0 = build_problem(desk_config(tmp_path))
         piece_index = PiecewiseFn.piece_index
         count = 0
@@ -419,12 +424,31 @@ class TestMembershipPasses:
             return piece_index(self, x)
 
         monkeypatch.setattr(PiecewiseFn, "piece_index", counted)
-        trace = solver(problem, x0, K=40)
+        kwargs = {"K": 40} if stop_tol is None else {"K": 2000, "stop_tol": stop_tol}
+        trace = solver(problem, x0, **kwargs)
         if solver is ppgd:
-            rejects = trace.nce_outcomes.count("guard-reject")
-            assert 0 < rejects < 40  # both kinds of step occur
-            calls = 1 + (40 - rejects) + 1
+            outcomes = trace.nce_outcomes
+            assert 0 < outcomes.count("guard-reject") < outcomes.count("same-piece")
+            calls = 1 + outcomes.count("nce-accept") + outcomes.count("nce-reject")
         assert count == calls
+
+    def test_one_pass_per_crossing(self, monkeypatch):
+        # coordinates 0 and 2 leave capped-l1's middle piece; 1 stays on it
+        problem = Problem(least_squares(Dataset(np.eye(3), [3.0, 0.1, -2.0])),
+                          capped_l1(0.1, 0.5))
+        piece_index = PiecewiseFn.piece_index
+        count = 0
+
+        def counted(self, x):
+            nonlocal count
+            count += 1
+            return piece_index(self, x)
+
+        monkeypatch.setattr(PiecewiseFn, "piece_index", counted)
+        outcomes = ppgd(problem, np.zeros(3), K=60).nce_outcomes
+        crossings = outcomes.count("nce-accept") + outcomes.count("nce-reject")
+        assert crossings > 0 and "same-piece" in outcomes
+        assert count == 1 + crossings
 
 
 class TestFitRate:

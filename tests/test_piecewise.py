@@ -458,11 +458,12 @@ class TestSurrogates:
         assert q.tolist() == sorted({e.value for e in fn.endpoints})
         assert fq.tobytes() == fn.evaluate(q).tobytes()
         owner = fn.piece_index(q)
-        for m, (edges, values) in enumerate(unowned, start=1):
+        for m, (edges, values, owners) in enumerate(unowned, start=1):
             lo, hi = fn.piece_bounds(m)
             expect = [j for j, v in enumerate(q) if v in (lo, hi) and owner[j] != m]
             assert edges.tobytes() == q[expect].tobytes()
             assert values.tobytes() == fq[expect].tobytes()
+            assert owners.tolist() == owner[expect].tolist()
 
     def test_index_out_of_range(self):
         fn = capped_l1(0.2, 1.0)

@@ -120,6 +120,42 @@ class TestLogisticValue:
             assert smooth._log1pexp(np.array([x]))[0] == np.logaddexp(0.0, x)
 
 
+class TestInPlaceOracle:
+    """value and _weights work in buffers of their own: the same bits as the
+    plain formulas, the inputs left as they were."""
+
+    def logistic(self, seed=0, n=300, d=7):
+        rng = np.random.default_rng(seed)
+        X = 3.0 * rng.standard_normal((n, d))
+        return logistic_loss(Dataset(X, rng.choice((-1.0, 1.0), size=n))), rng
+
+    def test_logistic_bits_equal_the_plain_formulas(self):
+        loss, rng = self.logistic()
+        y, n = loss.data.labels, loss.data.n
+        for _ in range(20):
+            Xx = 40.0 * rng.standard_normal(n)
+            kept = Xx.copy()
+            m = y * Xx
+            plain_value = float(np.mean(np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(-m)))))
+            plain_weights = -y * (0.5 * (1.0 + np.tanh(0.5 * -m))) / n
+            assert np.float64(loss.value(np.zeros(7), Xx)).tobytes() == \
+                np.float64(plain_value).tobytes()
+            assert loss._weights(Xx).tobytes() == plain_weights.tobytes()
+            assert Xx.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("kind", ["logistic", "least-squares"])
+    def test_weights_of_a_batch_equal_its_rows(self, kind):
+        # the estimate_G path hands _weights k products at once
+        loss, rng = self.logistic()
+        if kind == "least-squares":
+            loss = least_squares(Dataset(loss.data.features, rng.standard_normal(loss.data.n)))
+        products = rng.standard_normal((5, 7)) @ loss.data.features.T
+        kept = products.copy()
+        batch = loss._weights(products)
+        assert batch.tobytes() == np.stack([loss._weights(row) for row in products]).tobytes()
+        assert products.tobytes() == kept.tobytes()
+
+
 class TestGradients:
     def test_logistic_single_point(self):
         loss = logistic_loss(Dataset(np.array([[1.0]]), np.array([1.0])))

@@ -16,6 +16,7 @@ from piecewise_prox import (
     apg_monotone,
     build_piecewise,
     capped_l1,
+    default_step_size,
     estimate_G,
     extrapolate,
     indicator_penalty,
@@ -26,12 +27,15 @@ from piecewise_prox import (
     logistic_loss,
     pgd,
     ppgd,
+    prox_true,
     stationarity_residual,
     synth,
     tk_next,
     zero_penalty,
 )
 from piecewise_prox.piecewise import builtin_penalty
+from piecewise_prox.prox import _prox_true_valued
+from test_acceptance import _seeded_problems
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -83,6 +87,18 @@ class TestExtrapolate:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             extrapolate(np.zeros(2), np.zeros(3), np.zeros(2), 1.0, 2.0)
+
+    def test_bits_equal_the_formula_and_inputs_stay(self):
+        rng = np.random.default_rng(8)
+        t = 1.0
+        for _ in range(30):
+            x, x_prev, z = (rng.standard_normal(50) * 10.0 ** rng.integers(-3, 4)
+                            for _ in range(3))
+            kept = [a.copy() for a in (x, x_prev, z)]
+            t_prev, t = t, tk_next(t)
+            expect = x + (t_prev / t) * (z - x) + ((t_prev - 1.0) / t) * (x - x_prev)
+            assert extrapolate(x, x_prev, z, t_prev, t).tobytes() == expect.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip((x, x_prev, z), kept))
 
 
 def zero_loss_problem(penalty, d=1):
@@ -497,6 +513,16 @@ class TestPgd:
         b = pgd(prob, np.zeros(1), s=0.5, K=300)
         assert abs(a.final_x[0] - b.final_x[0]) < 1e-6
 
+    def test_rise_of_F_raises(self):
+        # s = 4/L_g overshoots the least-squares minimum along the top
+        # singular vector, so F grows from the first step on
+        prob = random_ls_problem(3, n=20, d=5, lam=0.01)
+        s = 4.0 / prob.loss.lipschitz_bound()
+        with pytest.raises(SolverError, match="pgd: F rose from"):
+            pgd(prob, np.ones(5), s=s, K=5)
+        trace = pgd(prob, np.ones(5), K=200)  # the default step never trips it
+        assert trace.k[-1] == 200
+
 
 class TestApg:
     def test_dominates_pgd_after_warmup(self):
@@ -704,6 +730,99 @@ class TestMixedPenalties:
         same = [k for k, o in enumerate(trace.nce_outcomes) if o == "same-piece"]
         assert len(same) > 50 and trace.n_transitions[-1] > 0
         assert [k for k in same if trace.surrogate_objective[k] != trace.objective[k]] == []
+
+
+# penalties whose pieces own their edges in every way the tags allow: both
+# edges of a continuous breakpoint (capped-l1, leaky), a right-only jump
+# (indicator), isolated single points (l0, and a point with an isolated and a
+# left-only edge), a point between a right-only and a continuous tag, a custom
+# middle piece, and one piece on the whole line
+_PLAN_PENALTIES = (
+    capped_l1(0.2, 1.0), leaky_capped_l1(0.3, 0.5, 0.1), indicator_penalty(0.4, 0.25),
+    l0_penalty(0.3), _nce_penalty("point isolated/left-only", 0.0, 0.0, -0.5, 0.0),
+    _nce_penalty("point right-only/continuous", 0.0, 0.0, 0.75, 0.0),
+    build_piecewise([PieceSpec(-math.inf, -1.0, Constant(0.5)),
+                     PieceSpec(-1.0, 1.0, lambda v: 0.5 * v * v),
+                     PieceSpec(1.0, math.inf, Constant(0.5))], ["continuous", "continuous"]),
+    l1_penalty(0.1))
+
+
+def _near_breakpoints(fn):
+    """Points on, beside and between fn's breakpoints, both zeros and any float."""
+    qs = sorted({e.value for e in fn.endpoints}) or [0.0]
+    pool = [0.0, -0.0] + [v for q in qs
+                          for v in (q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf), q + 0.1)]
+    return st.one_of(st.sampled_from(pool), st.floats(-3.0, 3.0))
+
+
+class TestPiecePlan:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), which=st.lists(st.integers(0, len(_PLAN_PENALTIES) - 1),
+                                          min_size=1, max_size=6))
+    def test_same_piece_test_is_the_membership_rule(self, data, which):
+        fns = [_PLAN_PENALTIES[j] for j in which]
+        prob = zero_loss_problem(fns, len(fns))
+        x, z = (np.array([data.draw(_near_breakpoints(fn)) for fn in fns]) for _ in range(2))
+        assign = prob.assignments(x)
+        assert prob._plan(assign).holds(z) is np.array_equal(prob.assignments(z), assign)
+        assert prob._plan(assign).holds(x)
+        for bad in (math.nan, math.inf, -math.inf):  # no membership either
+            assert not prob._plan(assign).holds(np.where(np.arange(len(fns)) == 0, bad, x))
+
+    def test_mutated_assignment_never_reads_a_stale_plan(self):
+        fn = capped_l1(0.2, 1.0)
+        prob, fresh = zero_loss_problem(fn, 4), zero_loss_problem(fn, 4)
+        x = np.array([0.5, -2.0, 2.0, 1.0])
+        u = np.array([3.0, 3.0, -3.0, 0.5])
+        a = prob.assignments(x)
+        for numbers in ([2, 2, 2, 2], [1, 3, 3, 2], [3, 1, 2, 3]):
+            # build and read the plan of a's current numbers, then change them
+            prob.project(x, u, a), prob.prox_step(a, 0.5, u), prob.surrogate_penalty(a, u)
+            a[:] = numbers  # in place: the same array, other pieces
+            b = np.array(numbers)
+            assert prob.project(x, u, a).tobytes() == fresh.project(x, u, b).tobytes()
+            assert prob.prox_step(a, 0.5, u).tobytes() == fresh.prox_step(b, 0.5, u).tobytes()
+            assert prob.surrogate_penalty(a, u) == fresh.surrogate_penalty(b, u)
+            assert prob._plan(a).holds(u) is fresh._plan(b).holds(u)
+        with pytest.raises(ValueError):  # the plan keeps a read-only copy
+            prob._plan(a).assign[0] = 1
+
+    def test_bad_assignments_raise(self):
+        prob = zero_loss_problem(capped_l1(0.2, 1.0), 3)
+        with pytest.raises(ValueError, match="expected 3 surrogates"):
+            prob.project(np.zeros(3), np.zeros(3), np.array([2, 2]))
+        with pytest.raises(ValueError, match="coordinate 1 has surrogate number 0"):
+            prob.prox_step(np.array([2, 0, 2]), 0.5, np.zeros(3))
+        with pytest.raises(ValueError, match="reshape"):
+            prob.prox_step(np.array([2, 2, 2]), 0.5, np.zeros(4))
+
+
+class TestExactProxValuation:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_value_and_pieces_equal_a_membership_pass(self, seed):
+        # the 20 seeded problems of tests/test_acceptance.py
+        prob = dict(_seeded_problems())[seed]
+        fn, s, rng = prob.penalty, default_step_size(prob), np.random.default_rng(seed)
+        # points the exact prox sends onto, beside and between the breakpoints
+        slopes = [0.0] + [t for p in fn.pieces for t in (p.left_slope, p.right_slope)
+                          if math.isfinite(t)]
+        pool = np.array([e.value + s * t for e in fn.endpoints for t in slopes] + [0.0, -0.0])
+        trace = apg_monotone(prob, np.zeros(prob.d), s=s, K=20)
+        draws = [np.where(rng.random(prob.d) < 0.5, rng.choice(pool, prob.d),
+                          rng.uniform(-3.0, 3.0, prob.d)) for _ in range(10)]
+        draws += [x - s * prob.loss.gradient(x) for x in trace.iterates]
+        for v in draws:
+            z, values, pieces = _prox_true_valued(fn, s, v)  # one penalty group
+            assert z.tobytes() == prox_true(fn, s, v).tobytes()
+            assign = prob.assignments(z)
+            assert pieces.tobytes() == assign.tobytes()
+            penalty = prob.surrogate_penalty(assign, z)
+            assert np.float64(np.sum(values)).tobytes() == np.float64(penalty).tobytes()
+            pz = prob.loss.data.features @ z
+            F = prob.loss.value(z, pz) + penalty
+            got = prob.prox_exact(s, v)
+            assert [a.tobytes() for a in (got[0], got[1], np.float64(got[2]), got[3])] == \
+                [a.tobytes() for a in (z, pz, np.float64(F), assign)]
 
 
 def few_moves_problem():
