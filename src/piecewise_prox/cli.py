@@ -137,6 +137,7 @@ def _cmd_solve(args) -> int:
     print(f"final objective: {trace.final_objective:.12g}")
     print(f"stationarity residual: {trace.final_residual:.6g}")
     print(f"transitions: {int(trace.n_transitions[-1])}")
+    print(f"restarts: {trace.summary()['restarts']}")
     print(f"trace: {out}")
     return 0
 

@@ -453,6 +453,7 @@ def _prefix(problem: Problem, trace: Trace, K: int) -> Trace:
         nce_outcomes=trace.nce_outcomes[:n],
         wall_ms=trace.wall_ms[:n],
         iterates=trace.iterates[:n],
+        restarted=trace.restarted[:n],
         final_residual=stationarity_residual(problem, trace.iterates[K], trace.s),
     )
 

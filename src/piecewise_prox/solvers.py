@@ -22,10 +22,11 @@ penalties.  A ``ppgd`` step runs ``Problem``'s ``project``, ``prox_step``,
 ``surrogate_penalty`` and ``nce``, each one array rule over that table; the
 others its ``prox_exact``, which values its own output.  With a single convex
 piece the projection is the identity and ``ppgd`` reduces exactly to
-``apg_monotone``.  A step that keeps x because its probe failed the objective
-test restarts the momentum (see ``_solve``).  The paper analyses the
-unrestarted t_k sequence; after the last crossing, ``ppgd`` is monotone
-accelerated proximal gradient with these restarts.
+``apg_monotone``.  The momentum restarts after a step that keeps x because
+its probe failed the objective test, and after an accepted step that fails
+the gradient test (see ``_solve``).  The paper analyses the unrestarted t_k
+sequence; after the last crossing, ``ppgd`` is monotone accelerated proximal
+gradient with these restarts.
 """
 
 from __future__ import annotations
@@ -292,6 +293,7 @@ class Trace:
     nce_outcomes: list
     wall_ms: np.ndarray
     iterates: np.ndarray
+    restarted: np.ndarray  # per row: whether its step restarted the momentum
     final_residual: float = math.nan
 
     @property
@@ -341,6 +343,7 @@ class Trace:
             "final_residual": self.final_residual,
             "wall_ms_total": float(np.sum(self.wall_ms)),
             "k0": self.last_transition_index(),
+            "restarts": int(self.restarted.sum()),
         }
 
 
@@ -382,21 +385,28 @@ def _check_finite(F: float, solver: str, k: int) -> None:
 
 
 def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
-           w0: Optional[float], stop_tol: Optional[float], record_timing: bool) -> Trace:
+           w0: Optional[float], stop_tol: Optional[float], record_timing: bool,
+           momentum: bool = True) -> Trace:
     """The iteration every solver shares.
 
     Validates the arguments (``stop_tol`` is None or positive), keeps the
     momentum state (x_prev, z, t) and extrapolates u from it, records piece
     transitions and the trace, applies the ``stop_tol`` early stop and
     computes the final stationarity residual, both on x's pieces as the
-    loop holds them.
+    loop holds them.  With ``momentum`` off (``pgd``) u is x and nothing
+    restarts.
 
-    A ``guard-reject`` or ``revert`` keeps x and resets the momentum to the
-    state the loop starts in (z = x, t_prev = 0, t = 1), so the next u is x
-    and that step is a plain prox-gradient step from x, which passes the
-    objective test at s <= 1/L_g by the descent lemma (adaptive restart,
-    O'Donoghue & Candes 2015).  An ``nce-reject`` does not restart: from
-    u = x its probe would come back the same, and the run would stall.
+    The momentum restarts (adaptive restart, O'Donoghue & Candes 2015) when
+    a step keeps x (``guard-reject``, ``revert``), or accepts its probe z
+    while (u - z).(z - x_prev) > 0, x_prev the iterate before z: the step
+    moved against the direction u had taken.  A restart resets the whole
+    state to the one the loop starts in (x_prev = z = x, t_prev = 0, t = 1),
+    so the next u is x bit for bit and that step is a plain prox-gradient
+    step from x, which passes the objective test at s <= 1/L_g by the
+    descent lemma and cannot fail the gradient test.  The trace's
+    ``restarted`` column marks the rows whose step restarted.  An
+    ``nce-reject`` does not restart: from u = x its probe would come back
+    the same, and the run would stall.
 
     Next to each of x, x_prev and z the loop carries its product with the
     feature matrix X (px, px_prev, pz), each a fresh product of its own
@@ -426,25 +436,26 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
 
-    x_prev = z = x
-    t_prev, t = 0.0, 1.0
     px = problem.loss.data.features @ x
+    x_prev, px_prev, z, pz, t_prev, t = x, px, x, px, 0.0, 1.0
     assign = problem._plan(problem.assignments(x)).assign
     F_x = problem.loss.value(x, px) + problem.surrogate_penalty(assign, x)
-    px_prev = pz = px
     _check_finite(F_x, solver, 0)
     # one row per trace line; x is never changed in place, so no row copies it
-    rows = [(0, F_x, math.nan, False, "", 0.0, x)]
+    rows = [(0, F_x, math.nan, False, "", 0.0, x, False)]
     last_transition = 0
 
     for k in range(1, K + 1):
         tic = time.perf_counter()
-        u = extrapolate(x, x_prev, z, t_prev, t)
-        pu = extrapolate(px, px_prev, pz, t_prev, t)
+        u, pu = x, px
+        if momentum:
+            u = extrapolate(x, x_prev, z, t_prev, t)
+            pu = extrapolate(px, px_prev, pz, t_prev, t)
         z, pz, F_probe, outcome, accepted = step(x, px, u, pu, assign, F_x, s)
         _check_finite(F_probe, solver, k)
         x_prev, px_prev = x, px
         transition = False
+        restart = outcome in ("guard-reject", "revert")
         if accepted is not None:
             F_x, new_assign = accepted
             _check_finite(F_x, solver, k)
@@ -452,18 +463,19 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
             if transition:
                 last_transition = k
             x, px, assign = z, pz, new_assign
+            restart = momentum and float(np.dot(u - z, z - x_prev)) > 0
         t_prev, t = t, tk_next(t)
-        if outcome in ("guard-reject", "revert"):
-            z, pz, t_prev, t = x, px, 0.0, 1.0
+        if restart:
+            x_prev, px_prev, z, pz, t_prev, t = x, px, x, px, 0.0, 1.0
 
         wall = (time.perf_counter() - tic) * 1e3 if record_timing else 0.0
-        rows.append((k, F_x, F_probe, transition, outcome, wall, x))
+        rows.append((k, F_x, F_probe, transition, outcome, wall, x, restart))
 
         if (stop_tol is not None and k - last_transition >= 10
                 and _residual(problem, x, s, px, assign) < stop_tol):
             break
 
-    ks, F, F_sz, transitions, outcomes, walls, xs = zip(*rows)
+    ks, F, F_sz, transitions, outcomes, walls, xs, restarts = zip(*rows)
     return Trace(solver=solver, s=s, w0=w0,
                  k=np.asarray(ks, dtype=np.int64),
                  objective=np.asarray(F, dtype=float),
@@ -472,6 +484,7 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
                  nce_outcomes=list(outcomes),
                  wall_ms=np.asarray(walls, dtype=float),
                  iterates=np.stack(xs, axis=0),
+                 restarted=np.asarray(restarts, dtype=bool),
                  final_residual=_residual(problem, x, s, px, assign))
 
 
@@ -503,9 +516,10 @@ def ppgd(problem: Problem, x0, s: Optional[float] = None, w0: float = 0.5,
     F(z).  On a probe that stays on x's pieces, as the piece plan's bounds
     test tells with no membership pass, the surrogate objective is the true
     F(z), summed exactly as F(x) is, so a probe equal to x passes the guard.
-    A guard-reject restarts the momentum and an nce-reject does not (see
-    ``_solve``).  ``stop_tol`` enables an early stop once the stationarity
-    residual drops below it with no transition in the last 10 iterations.
+    A guard-reject, or an accepted step that fails the gradient test,
+    restarts the momentum; an nce-reject does not (see ``_solve``).
+    ``stop_tol`` enables an early stop once the stationarity residual drops
+    below it with no transition in the last 10 iterations.
     """
     if not 0.0 < w0 <= 1.0:
         raise ValueError("w0 must lie in (0, 1]")
@@ -538,8 +552,9 @@ def pgd(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
         record_timing: bool = True) -> Trace:
     """Proximal gradient descent with the exact prox of the full penalty.
 
-    The step starts from x and never uses the extrapolated point.  A rise
-    of F beyond ``_no_worse`` (a step s above 1/L_g) raises SolverError.
+    The step starts from x, so the shared loop runs without momentum: no
+    extrapolation and no restart.  A rise of F beyond ``_no_worse`` (a step
+    s above 1/L_g) raises SolverError.
     """
 
     def step(x, px, u, pu, assign, F_x, s):
@@ -548,7 +563,7 @@ def pgd(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
             raise SolverError(f"pgd: F rose from {F_x!r} to {F_z!r} (s={s!r} above 1/L_g?)")
         return z, pz, F_z, "step", (F_z, assign_z)
 
-    return _solve("pgd", step, problem, x0, s, K, None, None, record_timing)
+    return _solve("pgd", step, problem, x0, s, K, None, None, record_timing, momentum=False)
 
 
 def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
@@ -557,8 +572,9 @@ def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
 
     z is the accelerated probe prox_{sh}(u - s grad g(u)); x advances to z only
     when F(z) <= F(x) up to ``_F_RTOL`` |F(x)|, the rounding of the sums, which
-    keeps the objective column nonincreasing up to that rounding.  A revert
-    restarts the momentum (see ``_solve``), as ``ppgd``'s guard-reject does.
+    keeps the objective column nonincreasing up to that rounding.  A revert,
+    or an accept that fails the gradient test, restarts the momentum (see
+    ``_solve``), by the same rule as in ``ppgd``.
     """
 
     def step(x, px, u, pu, assign, F_x, s):

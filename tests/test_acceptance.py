@@ -151,8 +151,22 @@ def test_restart_after_a_rejected_probe(seeded_traces):
     for seed, name, trace in seeded_traces[0]:
         kept = np.isin(trace.nce_outcomes, ("guard-reject", "revert"))
         assert not np.any(kept[1:] & kept[:-1]), f"{name} seed {seed} rejected twice in a row"
+        assert np.all(trace.restarted[kept]), f"{name} seed {seed} kept x without a restart"
         rejected += int(kept.sum())
     assert rejected > 0
+
+
+def test_gradient_test_never_fires_right_after_a_restart(seeded_traces):
+    # a restart leaves u = x_prev = x, so the next accepted probe z reads
+    # (u - z).(z - x_prev) = -|z - x|^2 <= 0 in the gradient test
+    fired = 0
+    for seed, name, trace in seeded_traces[0]:
+        accepted = ~np.isin(trace.nce_outcomes, ("", "guard-reject", "revert", "nce-reject"))
+        gradient = trace.restarted & accepted
+        assert not np.any(gradient[1:] & trace.restarted[:-1]), (
+            f"{name} seed {seed} restarted on the gradient test right after a restart")
+        fired += int(gradient.sum())
+    assert fired > 0
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,7 @@ class TestSolve:
         assert code == 0
         assert "final objective:" in out
         assert "stationarity residual:" in out
+        assert "restarts:" in out
         assert (tmp_path / "trace_ppgd.csv").exists()
 
     @pytest.mark.parametrize("solver", ["pgd", "apg", "ppgd"])

@@ -220,6 +220,16 @@ class TestRunExperiment:
             assert row["k0"] == trace.last_transition_index()
         assert max(row["k0"] for row in rows) > 0
 
+    def test_report_rows_carry_restarts(self, tmp_path):
+        # the first solver's trace is cut from a longer run: its restarts too
+        report = run_experiment(desk_config(tmp_path, seed=1))
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["solvers"]
+        for row in rows:
+            trace = report.traces[row["solver"]]
+            assert len(trace.restarted) == len(trace.k)
+            assert row["restarts"] == int(trace.restarted.sum())
+        assert {row["solver"] for row in rows if row["restarts"]} == {"ppgd", "apg"}
+
     def test_single_solver(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "loss": "least-squares",
@@ -294,6 +304,7 @@ class TestRunExperiment:
             assert np.array_equal(got.objective, want.objective)
             assert np.array_equal(got.iterates, want.iterates)
             assert np.array_equal(got.transitions, want.transitions)
+            assert np.array_equal(got.restarted, want.restarted)
             assert got.nce_outcomes == want.nce_outcomes
             assert got.final_residual == want.final_residual
 
