@@ -114,13 +114,13 @@ def certify_step_size(L_g: float, G: float, F0: float, C: float = math.inf,
         raise CertificateError("w0 must lie in (0, 1]")
     if d < 1:
         raise CertificateError("d must be at least 1")
-    if C <= 0 or J <= 0 or s0 <= 0:
-        raise CertificateError("C, J, s0 must be positive (or +inf sentinels)")
+    if not (C > 0 and J > 0 and s0 > 0 and R0 > 0):  # a NaN fails too
+        raise CertificateError("C, J, s0, R0 must be positive (or +inf sentinels)")
     if math.isfinite(C) and eps0 is None:
         raise CertificateError(
             "eps0 is required when continuous endpoints are present (C finite)"
         )
-    if eps0 is not None and eps0 <= 0:
+    if eps0 is not None and not eps0 > 0:
         raise CertificateError("eps0 must be positive")
 
     sqd = math.sqrt(d)

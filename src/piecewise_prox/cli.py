@@ -148,7 +148,7 @@ def _cmd_benchmark(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
     override = args.output_dir if isinstance(doc, dict) else None  # from_dict rejects the rest
-    if override and doc.get("output_dir") and override != doc["output_dir"]:
+    if override and isinstance(doc.get("output_dir"), str) and override != doc["output_dir"]:
         print(f"warning: --output-dir {override!r} ignored; "
               f"config output_dir {doc['output_dir']!r} wins", file=sys.stderr)
     elif override and not doc.get("output_dir"):

@@ -208,6 +208,16 @@ def _is_fraction(v) -> bool:
     return _is_real(v) and 0.0 < v <= 1.0
 
 
+# the check of each top-level experiment setting
+_SETTINGS = {
+    "output_dir": (lambda v: isinstance(v, str), "a path string"),
+    "seed": (lambda v: _is_count(v, least=0), "an integer >= 0"),
+    "tail_fraction": (_is_fraction, "a number in (0, 1]"),
+    "record_timing": (lambda v: isinstance(v, bool), "true or false"),
+    "reference_multiple": (_is_count, "an integer >= 1"),
+}
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     name: str
@@ -261,18 +271,17 @@ class ExperimentConfig:
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:
             raise ValueError(f"solver names must be unique; repeated: {duplicates}")
-        if not _is_count(self.reference_multiple):
-            raise ValueError("reference_multiple must be an integer >= 1, "
-                             f"got {self.reference_multiple!r}")
-        if not _is_fraction(self.tail_fraction):
-            raise ValueError("tail_fraction must be a number in (0, 1], "
-                             f"got {self.tail_fraction!r}")
+        for name, (check, what) in _SETTINGS.items():
+            if not check(getattr(self, name)):
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-        solvers = tuple(_solver_spec(s) for s in doc.get("solvers", ()))
+        if not isinstance(doc.get("solvers", []), list):
+            raise ValueError(f"solvers must be a JSON list, got {doc['solvers']!r}")
+        solvers = tuple(_solver_spec(s) for s in doc.get("solvers", []))
         if not solvers:
             raise ValueError("config needs at least one solver")
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -284,11 +293,6 @@ class ExperimentConfig:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         kw = {k: v for k, v in doc.items() if k != "solvers"}
         return ExperimentConfig(solvers=solvers, **kw)
-
-    @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         return {

@@ -39,7 +39,6 @@ each surrogate's prox from it and the surrogate's wing data.  A
 from __future__ import annotations
 
 import inspect
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -67,8 +66,6 @@ __all__ = [
     "l0_penalty",
     "l1_penalty",
     "zero_penalty",
-    "to_json",
-    "from_json",
 ]
 
 _GRID_POINTS = 1000
@@ -97,8 +94,6 @@ class PiecewiseBuildError(ValueError):
 class Constant:
     c: float
 
-    tag = "constant"
-
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.c)
 
@@ -114,16 +109,11 @@ class Constant:
     def is_convex(self) -> bool:
         return True
 
-    def params(self):
-        return {"c": self.c}
-
 
 @dataclass(frozen=True)
 class Affine:
     slope: float
     intercept: float
-
-    tag = "affine"
 
     def __call__(self, x):
         return self.slope * np.asarray(x, dtype=float) + self.intercept
@@ -140,15 +130,10 @@ class Affine:
     def is_convex(self) -> bool:
         return True
 
-    def params(self):
-        return {"slope": self.slope, "intercept": self.intercept}
-
 
 @dataclass(frozen=True)
 class ScaledAbs:
     scale: float
-
-    tag = "scaled-abs"
 
     def __call__(self, x):
         return self.scale * np.abs(np.asarray(x, dtype=float))
@@ -169,17 +154,12 @@ class ScaledAbs:
     def is_convex(self) -> bool:
         return self.scale >= 0.0
 
-    def params(self):
-        return {"scale": self.scale}
-
 
 @dataclass(frozen=True)
 class Quadratic:
     a: float
     b: float
     c: float
-
-    tag = "quadratic"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -201,9 +181,6 @@ class Quadratic:
     def is_convex(self) -> bool:
         return self.a >= 0.0
 
-    def params(self):
-        return {"a": self.a, "b": self.b, "c": self.c}
-
 
 @dataclass(frozen=True, eq=False)
 class CustomShape:
@@ -211,9 +188,6 @@ class CustomShape:
     finite differences (step 1e-6) unless supplied at build time."""
 
     fn: Callable
-    label: str = "custom"
-
-    tag = "custom"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -234,12 +208,6 @@ class CustomShape:
 
     def is_convex(self) -> bool:
         return True  # checked by the grid probe instead
-
-    def params(self):
-        raise PiecewiseBuildError(f"custom shape {self.label!r} is not serializable")
-
-
-_SHAPE_TAGS = {"constant": Constant, "affine": Affine, "scaled-abs": ScaledAbs, "quadratic": Quadratic}
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +417,6 @@ class PiecewiseFn:
     _cuts: np.ndarray = field(repr=False, default=None)
     _at: np.ndarray = field(repr=False, default=None)
     _gap: np.ndarray = field(repr=False, default=None)
-    _builtin: Optional[tuple] = field(repr=False, default=None)
 
     @property
     def n_pieces(self) -> int:
@@ -548,8 +515,7 @@ def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
 # ---------------------------------------------------------------------------
 
 
-def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str],
-                    builtin: Optional[tuple] = None) -> PiecewiseFn:
+def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str]) -> PiecewiseFn:
     """Assemble and validate a piecewise convex penalty.
 
     Parameters
@@ -647,7 +613,7 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str],
         )
     C = min(drops) if drops else math.inf
     J = min(jumps) if jumps else math.inf
-    return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0, cuts, at, gap, builtin)
+    return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0, cuts, at, gap)
 
 
 def _membership(pieces, endpoints):
@@ -702,8 +668,7 @@ def capped_l1(lam: float, b: float = 1.0) -> PiecewiseFn:
         PieceSpec(-b, b, ScaledAbs(lam)),
         PieceSpec(b, math.inf, Constant(cap)),
     ]
-    return build_piecewise(specs, [CONTINUOUS, CONTINUOUS],
-                           builtin=("capped-l1", {"lam": lam, "b": b}))
+    return build_piecewise(specs, [CONTINUOUS, CONTINUOUS])
 
 
 def indicator_penalty(lam: float, tau: float = 0.0) -> PiecewiseFn:
@@ -714,8 +679,7 @@ def indicator_penalty(lam: float, tau: float = 0.0) -> PiecewiseFn:
         PieceSpec(-math.inf, tau, Constant(lam)),
         PieceSpec(tau, math.inf, Constant(0.0)),
     ]
-    return build_piecewise(specs, [RIGHT_ONLY],
-                           builtin=("indicator", {"lam": lam, "tau": tau}))
+    return build_piecewise(specs, [RIGHT_ONLY])
 
 
 def leaky_capped_l1(lam: float, b: float = 1.0, beta: float = 0.5) -> PiecewiseFn:
@@ -730,8 +694,7 @@ def leaky_capped_l1(lam: float, b: float = 1.0, beta: float = 0.5) -> PiecewiseF
         PieceSpec(-b, b, ScaledAbs(lam)),
         PieceSpec(b, math.inf, Affine(beta, cap - beta * b)),
     ]
-    return build_piecewise(specs, [CONTINUOUS, CONTINUOUS],
-                           builtin=("leaky-capped-l1", {"lam": lam, "b": b, "beta": beta}))
+    return build_piecewise(specs, [CONTINUOUS, CONTINUOUS])
 
 
 def l0_penalty(lam: float = 1.0) -> PiecewiseFn:
@@ -743,8 +706,7 @@ def l0_penalty(lam: float = 1.0) -> PiecewiseFn:
         PieceSpec(0.0, 0.0, Constant(0.0)),
         PieceSpec(0.0, math.inf, Constant(lam)),
     ]
-    return build_piecewise(specs, [ISOLATED, ISOLATED],
-                           builtin=("l0", {"lam": lam}))
+    return build_piecewise(specs, [ISOLATED, ISOLATED])
 
 
 def l1_penalty(lam: float) -> PiecewiseFn:
@@ -752,13 +714,13 @@ def l1_penalty(lam: float) -> PiecewiseFn:
     if lam < 0:
         raise PiecewiseBuildError("l1 requires lam >= 0")
     specs = [PieceSpec(-math.inf, math.inf, ScaledAbs(lam))]
-    return build_piecewise(specs, [], builtin=("l1", {"lam": lam}))
+    return build_piecewise(specs, [])
 
 
 def zero_penalty() -> PiecewiseFn:
     """The zero penalty (smooth-only problems)."""
     specs = [PieceSpec(-math.inf, math.inf, Constant(0.0))]
-    return build_piecewise(specs, [], builtin=("zero", {}))
+    return build_piecewise(specs, [])
 
 
 _BUILTINS = {
@@ -786,49 +748,3 @@ def builtin_penalty(kind: str, **params) -> PiecewiseFn:
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise PiecewiseBuildError(f"{kind} penalty: {name} must be a number, got {value!r}")
     return ctor(**params)
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-# ---------------------------------------------------------------------------
-
-
-def to_json(fn: PiecewiseFn) -> str:
-    """Serialize to a JSON document of tagged piece records."""
-    doc = {}
-    if fn._builtin is not None:
-        doc["builtin"] = {"kind": fn._builtin[0], "params": fn._builtin[1]}
-    doc["pieces"] = [
-        {
-            "left": _num_out(p.left),
-            "right": _num_out(p.right),
-            "shape": {"tag": p.shape.tag, **p.shape.params()},
-        }
-        for p in fn.pieces
-    ]
-    doc["continuity"] = [e.continuity for e in fn.endpoints]
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def from_json(text: str) -> PiecewiseFn:
-    doc = json.loads(text)
-    if "builtin" in doc:
-        b = doc["builtin"]
-        return builtin_penalty(b["kind"], **b["params"])
-    specs = []
-    for rec in doc["pieces"]:
-        shape_rec = dict(rec["shape"])
-        tag = shape_rec.pop("tag")
-        if tag not in _SHAPE_TAGS:
-            raise PiecewiseBuildError(f"unknown shape tag {tag!r}")
-        shape = _SHAPE_TAGS[tag](**shape_rec)
-        specs.append(PieceSpec(float(rec["left"]), float(rec["right"]), shape))
-    return build_piecewise(specs, doc["continuity"])
-
-
-def _num_out(v: float):
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return v

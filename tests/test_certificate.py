@@ -136,6 +136,14 @@ class TestValidation:
         with pytest.raises(CertificateError):
             certify_step_size(L_g=1.0, G=1.0, F0=0.1, w0=0.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"C": math.nan, "eps0": 1.0}, {"J": math.nan}, {"s0": math.nan},
+        {"C": 1.0, "eps0": math.nan}, {"R0": math.nan}, {"R0": 0.0}, {"R0": -1.0},
+    ], ids=["C-nan", "J-nan", "s0-nan", "eps0-nan", "R0-nan", "R0-zero", "R0-negative"])
+    def test_nan_or_nonpositive_constant_rejected(self, kw):
+        with pytest.raises(CertificateError, match="must be positive"):
+            certify_step_size(L_g=1.0, G=0.1, F0=0.2, **kw)
+
     def test_describe_mentions_binding_term(self):
         cert = certify_step_size(L_g=2.0, G=1.0, F0=0.5)
         assert "binding term: 1/L_g" in cert.describe()

@@ -67,6 +67,14 @@ class TestCertify:
         assert code == 2
         assert "eps0" in err
 
+    def test_nan_constant_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["certify", "--lg", "1", "--g", "0.1", "--f0", "0.2", "--c", "nan"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "must be positive" in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
 
 class TestProxCheck:
     @pytest.mark.parametrize("kernel", ["identity", "soft-threshold", "linear-shift",
@@ -244,7 +252,15 @@ class TestBenchmark:
         lambda doc: {**doc, "penalty": {"kind": "capped-l1",
                                         "params": {"lam": 0.2, "bogus": 1}}},
         lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": {"lam": "x"}}},
-    ], ids=["list", "solver-string", "solver-key", "missing-lam", "bogus-param", "string-lam"])
+        lambda doc: {**doc, "seed": "x"},
+        lambda doc: {**doc, "seed": 1.5},
+        lambda doc: {**doc, "solvers": 5},
+        lambda doc: {**doc, "solvers": None},
+        lambda doc: {**doc, "record_timing": "no"},
+        lambda doc: {**doc, "output_dir": 5},
+    ], ids=["list", "solver-string", "solver-key", "missing-lam", "bogus-param", "string-lam",
+            "seed-string", "seed-float", "solvers-number", "solvers-null", "timing-string",
+            "dir-number"])
     @pytest.mark.parametrize("override", [False, True], ids=["config-dir", "override-dir"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, edit, override):
         cfg = self.write_config(tmp_path, tmp_path / "results")

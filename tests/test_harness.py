@@ -338,10 +338,15 @@ class TestRunExperiment:
         ("tail_fraction", "x", r"tail_fraction must be a number in \(0, 1\]"),
         ("tail_fraction", 0, r"tail_fraction must be a number in \(0, 1\]"),
         ("tail_fraction", None, r"tail_fraction must be a number in \(0, 1\]"),
+        ("seed", "x", "seed must be an integer >= 0"),
+        ("seed", 1.5, "seed must be an integer >= 0"),
+        ("seed", -1, "seed must be an integer >= 0"),
+        ("output_dir", 5, "output_dir must be a path string"),
+        ("record_timing", "no", "record_timing must be true or false"),
     ])
     def test_non_numeric_setting_rejected(self, tmp_path, field, value, message):
         doc = desk_config(tmp_path).to_dict()
-        if field == "tail_fraction":
+        if field not in ("s", "w0"):  # a top-level setting, not a solver's
             doc[field] = value
         else:
             doc["solvers"] = [{"name": "ppgd", field: value}]
@@ -357,8 +362,10 @@ class TestRunExperiment:
         (lambda doc: {**doc, "penalty": "capped-l1"}, "penalty must be a JSON object"),
         (lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": [0.2]}},
          "penalty params must be a JSON object"),
+        (lambda doc: {**doc, "solvers": 5}, "solvers must be a JSON list"),
+        (lambda doc: {**doc, "solvers": None}, "solvers must be a JSON list"),
     ], ids=["list", "solver-string", "solver-key", "solver-name", "missing-loss",
-            "penalty-string", "params-list"])
+            "penalty-string", "params-list", "solvers-number", "solvers-null"])
     def test_malformed_config_rejected(self, tmp_path, edit, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(edit(desk_config(tmp_path).to_dict()))
@@ -408,8 +415,10 @@ class TestRunExperiment:
         doc = desk_config(tmp_path).to_dict()
         doc["solvers"] = [{"name": "ppgd", "s": 1, "w0": 1}, {"name": "pgd", "s": None}]
         doc["tail_fraction"] = 1
+        doc["seed"] = np.int64(3)  # a numpy integer, as a config built in Python may hold
         cfg = ExperimentConfig.from_dict(doc)
         assert cfg.solvers[0].s == 1 and cfg.solvers[0].w0 == 1 and cfg.tail_fraction == 1
+        assert cfg.seed == 3
 
 
 class TestMembershipPasses:

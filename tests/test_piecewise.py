@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,13 +13,11 @@ from piecewise_prox import (
     ScaledAbs,
     build_piecewise,
     capped_l1,
-    from_json,
     indicator_penalty,
     l0_penalty,
     l1_penalty,
     leaky_capped_l1,
     prox_vector,
-    to_json,
     zero_penalty,
 )
 
@@ -485,38 +482,3 @@ class TestSlopeEstimation:
         assert fn.pieces[0].right_slope == pytest.approx(1.0, abs=1e-6)
         assert fn.C == pytest.approx(1.0 - 0.2, abs=1e-6)
 
-
-class TestJson:
-    @pytest.mark.parametrize("fn_factory", [
-        lambda: capped_l1(0.2, 1.0),
-        lambda: indicator_penalty(2.0, 1.0),
-        lambda: leaky_capped_l1(1.0, 1.0, 0.5),
-        lambda: l0_penalty(0.7),
-        lambda: l1_penalty(0.3),
-        lambda: zero_penalty(),
-    ])
-    def test_builtin_round_trip(self, fn_factory):
-        fn = fn_factory()
-        clone = from_json(to_json(fn))
-        assert clone.structural_constants() == fn.structural_constants()
-        grid = np.linspace(-4, 4, 101)
-        assert np.array_equal(clone.evaluate(grid), fn.evaluate(grid))
-
-    def test_shape_pieces_round_trip(self):
-        fn = quad_on_segments()
-        text = to_json(fn)
-        clone = from_json(text)
-        grid = np.linspace(-5, 5, 101)
-        assert np.allclose(clone.evaluate(grid), fn.evaluate(grid), rtol=0, atol=0)
-
-    def test_tagged_records_present(self):
-        doc = json.loads(to_json(capped_l1(0.2, 1.0)))
-        assert doc["builtin"]["kind"] == "capped-l1"
-        assert [p["shape"]["tag"] for p in doc["pieces"]] == ["constant", "scaled-abs", "constant"]
-
-    def test_custom_not_serializable(self):
-        fn = build_piecewise(
-            [PieceSpec(-math.inf, math.inf, lambda v: np.abs(np.asarray(v)))], []
-        )
-        with pytest.raises(PiecewiseBuildError, match="serializable"):
-            to_json(fn)
