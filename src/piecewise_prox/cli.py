@@ -6,11 +6,14 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
 
 import numpy as np
+
+from .piecewise import _BUILTINS
 
 __all__ = ["main", "build_parser"]
 
@@ -31,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="run one solver on one problem", prog="piecewise-prox solve")
     ps.add_argument("--loss", choices=("logistic", "least-squares"), default="least-squares")
-    ps.add_argument("--penalty", default="capped-l1",
-                    choices=("capped-l1", "indicator", "leaky-capped-l1", "l0", "l1", "zero"))
+    ps.add_argument("--penalty", default="capped-l1", choices=tuple(_BUILTINS))
+    # each penalty takes the flags named after its constructor's parameters
     ps.add_argument("--lam", type=float, default=0.2, help="penalty weight")
     ps.add_argument("--b", type=float, default=1.0, help="cap location for capped penalties")
     ps.add_argument("--tau", type=float, default=0.0, help="indicator threshold")
@@ -95,15 +98,8 @@ def _cmd_solve(args) -> int:
 
     if args.stop_tol is not None and args.solver != "ppgd":
         raise _UsageError("--stop-tol applies to --solver ppgd only")
-    penalty_params = {}
-    if args.penalty in ("capped-l1", "leaky-capped-l1"):
-        penalty_params = {"lam": args.lam, "b": args.b}
-        if args.penalty == "leaky-capped-l1":
-            penalty_params["beta"] = args.beta
-    elif args.penalty == "indicator":
-        penalty_params = {"lam": args.lam, "tau": args.tau}
-    elif args.penalty in ("l0", "l1"):
-        penalty_params = {"lam": args.lam}
+    penalty_params = {name: getattr(args, name)
+                      for name in inspect.signature(_BUILTINS[args.penalty]).parameters}
 
     data = {"kind": args.data, "seed": args.seed}
     if args.data.startswith("synth"):

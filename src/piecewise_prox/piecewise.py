@@ -5,9 +5,13 @@ Every interior breakpoint carries a one-sided continuity tag that decides which
 piece owns the point: ``continuous`` and ``left-only`` the piece on its left,
 ``right-only`` the piece on its right, ``isolated`` the single-point piece
 beside it.  ``build_piecewise`` decodes each tag once into an ``Endpoint``
-record that names its owner; membership, the surrogates and ``C``/``J`` read
-these records.  Membership is single valued: ``build_piecewise`` rejects
-tags under which two pieces claim one breakpoint.  PPGD's NCE step judges a
+record that names its owner, and rejects tags under which two pieces claim
+one breakpoint.  From the owners it builds one owned-bounds table: per piece
+its closure (left, right), the set it owns (own_lo, own_hi; an edge it does
+not own, an infinite one too, one float inward) and whether the endpoint
+record on each side is continuous.  The owned sets tile the line in piece
+order, so membership is one ``searchsorted`` over own_lo; ``Problem``'s piece
+plan and NCE step read the same table.  PPGD's NCE step judges a
 crossing by the record it crosses: the one closing the old piece on that
 side, toward the new point when the old piece is a single point, whose two
 records may carry different tags.  From the piece metadata
@@ -412,11 +416,10 @@ class PiecewiseFn:
     F0: float
     R0: float
     s0: float
-    # membership tables: the distinct breakpoint values padded with +inf, the
-    # piece owning each value and the piece covering the open gap below it
-    _cuts: np.ndarray = field(repr=False, default=None)
-    _at: np.ndarray = field(repr=False, default=None)
-    _gap: np.ndarray = field(repr=False, default=None)
+    # the owned-bounds table, one column per piece: rows left, right, own_lo,
+    # own_hi, and whether the endpoint record on the left/right is continuous
+    _bounds: np.ndarray = field(repr=False, default=None)
+    _record_continuous: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_pieces(self) -> int:
@@ -425,13 +428,13 @@ class PiecewiseFn:
     # -- membership ---------------------------------------------------------
 
     def piece_index(self, x):
-        """1-based index of the piece owning x (scalar or ndarray)."""
+        """1-based index of the piece owning x (scalar or ndarray): the last
+        piece whose own_lo is at most x, as the owned sets tile the line."""
         arr = np.asarray(x, dtype=float)
         if not np.isfinite(arr).all():
             bad = float(arr[~np.isfinite(arr)].flat[0])
             raise ValueError(f"piece membership needs finite x, got {bad!r}")
-        j = np.searchsorted(self._cuts, arr)
-        out = np.where(self._cuts[j] == arr, self._at[j], self._gap[j])
+        out = np.searchsorted(self._bounds[2], arr, side="right")
         return int(out) if arr.ndim == 0 else out
 
     def evaluate(self, x):
@@ -443,13 +446,14 @@ class PiecewiseFn:
         return float(out[0]) if scalar else out
 
     def surrogate_values(self, x: np.ndarray, assign: np.ndarray) -> np.ndarray:
-        """Surrogate value of each assigned 1-based piece at the array x:
-        the penalty itself where x lies on its assigned pieces."""
-        out = np.empty_like(x)
-        for m, sur in enumerate(self.surrogates, 1):
-            mask = assign == m
-            if mask.any():
-                out[mask] = sur(x[mask])
+        """Surrogate value of each assigned 1-based piece at the array x, of
+        ``assign``'s shape: the penalty itself where x lies on its assigned
+        pieces.  A bad shape or number raises ValueError (``_entries``)."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        for sur, sel in _entries(self.surrogates, np.asarray(assign), x.shape):
+            flat_out[sel] = sur(flat_x[sel])
         return out
 
     __call__ = evaluate
@@ -466,13 +470,16 @@ class PiecewiseFn:
 
     @cached_property
     def _owner_values(self):
-        """(q, f(q), unowned): the breakpoint values ascending, the penalty at
-        each (the bytes ``evaluate`` gives) and, per piece, the (edges, values,
-        owners) of its finite edges that another piece owns; no membership pass."""
-        q, at = self._cuts[:-1], self._at[:-1]
+        """(q, f(q), owner, unowned): the breakpoint values ascending, the
+        penalty at each (the bytes ``evaluate`` gives), the owner of each and,
+        per piece, the (edges, values, owners) of its finite edges that
+        another piece owns, all from the endpoint records."""
+        owners = {e.value: e.owner for e in self.endpoints}
+        q = np.array(list(owners), dtype=float)
+        at = np.array(list(owners.values()), dtype=np.int64)
         fq = self.surrogate_values(q, at)
         foreign = [((q == p.left) | (q == p.right)) & (at != p.index) for p in self.pieces]
-        return q, fq, tuple((q[f], fq[f], at[f]) for f in foreign)
+        return q, fq, at, tuple((q[f], fq[f], at[f]) for f in foreign)
 
     # -- surrogates -----------------------------------------------------------
 
@@ -508,6 +515,21 @@ def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
         kw.update({f"{side}_case": case, f"{side}_value": value, f"{side}_slope": slope})
 
     return SurrogateFn(source=fn, m=m, **kw)
+
+
+def _entries(surrogates, assignment: np.ndarray, shape) -> list:
+    """(surrogate, flat coordinates) per entry of a surrogate table in use,
+    for 1-based numbers into it; a bad shape or number raises ValueError."""
+    if assignment.shape != shape:
+        raise ValueError(f"expected {math.prod(shape)} surrogates, one per coordinate, "
+                         f"got {assignment.size}")
+    entries = [(sur, np.flatnonzero(assignment == m)) for m, sur in enumerate(surrogates, 1)]
+    if sum(sel.size for _, sel in entries) != assignment.size:
+        flat = assignment.reshape(-1)
+        i = np.flatnonzero(~np.isin(flat, np.arange(1, len(surrogates) + 1)))[0]
+        raise ValueError(f"coordinate {i} has surrogate number {flat[i]}, "
+                         f"outside 1..{len(surrogates)}")
+    return [(sur, sel) for sur, sel in entries if sel.size]
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +626,7 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str]) -> Pi
             jumps.append(abs(far - own))
     endpoints = tuple(endpoints)
 
-    cuts, at, gap = _membership(pieces, endpoints)
+    bounds, record_continuous = _piece_table(pieces, endpoints)
     F0, R0, s0 = _structural_constants(pieces, endpoints)
     if M > 1 and not math.isfinite(F0):
         raise PiecewiseBuildError(
@@ -613,25 +635,25 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str]) -> Pi
         )
     C = min(drops) if drops else math.inf
     J = min(jumps) if jumps else math.inf
-    return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0, cuts, at, gap)
+    return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0, bounds, record_continuous)
 
 
-def _membership(pieces, endpoints):
-    """The membership tables (see PiecewiseFn) from the endpoints' owners;
+def _piece_table(pieces, endpoints):
+    """The owned-bounds table (see PiecewiseFn) from the endpoints' owners;
     only one piece may own a breakpoint value."""
-    owners: dict[float, set] = {}
+    owners: dict[float, int] = {}
     for e in endpoints:
-        owners.setdefault(e.value, set()).add(e.owner)
-    for q, claims in owners.items():
-        if len(claims) > 1:
-            raise PiecewiseBuildError(
-                f"endpoint {q}: pieces {sorted(claims)} both claim the breakpoint"
-            )
-    cuts = sorted(owners)
-    at = [min(owners[q]) for q in cuts] + [0]
-    gap = [p.index for p in pieces if not p.is_point]
-    return (np.array(cuts + [math.inf]), np.array(at, dtype=np.int64),
-            np.array(gap, dtype=np.int64))
+        if owners.setdefault(e.value, e.owner) != e.owner:
+            raise PiecewiseBuildError(f"endpoint {e.value}: pieces {owners[e.value]} and "
+                                      f"{e.owner} both claim the breakpoint")
+    # endpoint record m-2 closes piece m on the left and record m-1 on the right
+    sides = ((None, *endpoints), (*endpoints, None))
+    closure = np.array([[p.left for p in pieces], [p.right for p in pieces]])
+    owns = [[e is not None and e.owner == p.index for e, p in zip(side, pieces)]
+            for side in sides]
+    inward = np.nextafter(closure, [[np.inf], [-np.inf]])
+    continuous = [[e is not None and e.is_continuous for e in side] for side in sides]
+    return np.vstack([closure, np.where(owns, closure, inward)]), np.array(continuous)
 
 
 def _structural_constants(pieces, endpoints):

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .piecewise import CASE_NONE, CustomShape, PiecewiseFn, SurrogateFn
+from .piecewise import CASE_NONE, CustomShape, PiecewiseFn, SurrogateFn, _entries
 
 __all__ = [
     "ProxError",
@@ -49,25 +49,29 @@ class ProxError(RuntimeError):
     """Numeric prox failed: no bracket for a minimizer, or a NaN objective."""
 
 
+def _check_step(s: float) -> float:
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"step size must be finite and positive, got {s!r}")
+    return s
+
+
 def _objective(f: Callable, s: float, u):
     """v -> (1/2s)(v - u)^2 + f(v), elementwise."""
     return lambda v: (v - u) ** 2 / (2.0 * s) + f(v)
 
 
 def minimizer_halfwidth(slope_bound: float, jump_bound: float, jump_points,
-                        s: float, x: float, convex: bool = False) -> float:
+                        s: float, x: float) -> float:
     """Sound bracket radius for argmin of (1/2s)(v-x)^2 + f(v).
 
     Any global minimizer v* satisfies (v*-x)^2 <= 2s (f(x) - f(v*)); splitting
     f into a slope_bound-Lipschitz part plus jumps of total size jump_bound
     gives |v* - x| <= 2 s slope_bound + sqrt(2 s jump_bound).  When no jump
-    point lies within that reach the jump term drops.  For convex f the prox
-    is firmly nonexpansive and the tight bound s * slope_bound applies.
+    point lies within that reach the jump term drops.
     """
     if not math.isfinite(slope_bound):
         raise ProxError("cannot bracket a minimizer: unbounded slope")
-    scale = 1.0 if convex else 2.0
-    base = scale * s * slope_bound + 1e-3  # never a zero-width bracket
+    base = 2.0 * s * slope_bound + 1e-3  # never a zero-width bracket
     if jump_bound <= 0.0:
         return base
     reach = base + math.sqrt(2.0 * s * jump_bound)
@@ -155,8 +159,7 @@ def _pick(candidates):
 
 def prox_surrogate(f_m: SurrogateFn, s: float, x: float) -> float:
     """Global minimizer of (1/2s)(v - x)^2 + f_m(v), deterministic under ties."""
-    if s <= 0:
-        raise ValueError("step size s must be positive")
+    _check_step(s)
     return float(_surrogate_prox(f_m, s, np.array([float(x)]), np.arange(1))[0])
 
 
@@ -247,8 +250,7 @@ def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
     """
     if resolution <= 0 or halfwidth <= 0:
         raise ValueError("halfwidth and resolution must be positive")
-    if s <= 0:
-        raise ValueError("step size s must be positive")
+    _check_step(s)
     lo, hi = x - halfwidth, x + halfwidth
     n = int(math.ceil(2.0 * halfwidth / resolution)) + 1
     step = 2.0 * halfwidth / (n - 1) if n > 1 else 0.0
@@ -314,27 +316,16 @@ def prox_vector(surrogates, assignment, s: float, u: np.ndarray) -> np.ndarray:
     Only a NaN objective raises ProxError, naming the first such coordinate:
     a NaN u on a custom shape, or a NaN among the candidates a nonconvex
     surrogate values.  A number outside 1..len(surrogates) raises ValueError,
-    naming the first coordinate that has one.
+    naming the first coordinate that has one, and so does a step s that is
+    not finite and positive (``_check_step``, as every prox entry point).
     """
     u = np.asarray(u, dtype=float)
     return _prox_entries(_entries(surrogates, np.asarray(assignment), u.shape), s, u)
 
 
-def _entries(surrogates, assignment: np.ndarray, shape) -> list:
-    """(surrogate, coordinates) per table entry in use; a bad shape or number raises ValueError."""
-    if assignment.shape != shape:
-        raise ValueError(f"expected {math.prod(shape)} surrogates, one per coordinate, "
-                         f"got {assignment.size}")
-    entries = [(sur, np.flatnonzero(assignment == m)) for m, sur in enumerate(surrogates, 1)]
-    if sum(sel.size for _, sel in entries) != assignment.size:
-        i = np.flatnonzero(~np.isin(assignment, np.arange(1, len(surrogates) + 1)))[0]
-        raise ValueError(f"coordinate {i} has surrogate number {assignment[i]}, "
-                         f"outside 1..{len(surrogates)}")
-    return [(sur, sel) for sur, sel in entries if sel.size]
-
-
 def _prox_entries(entries, s: float, u: np.ndarray) -> np.ndarray:
     """The prox of each entry's surrogate on its coordinates of u."""
+    _check_step(s)
     out = np.empty_like(u)
     for sur, sel in entries:
         out[sel] = _surrogate_prox(sur, s, u[sel], sel)
@@ -358,14 +349,15 @@ def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
 def _prox_true_valued(fn: PiecewiseFn, s: float, u: np.ndarray):
     """``prox_true``'s point, with f there and the 1-based piece that owns it
     as its row has them: the row's piece, or the owner of its breakpoint."""
+    _check_step(s)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.isfinite(u).all():
         fn.piece_index(u)  # raises the membership rule's ValueError
-    q, fq, unowned = fn._owner_values
+    q, fq, at, unowned = fn._owner_values
     n = fn.n_pieces
     cands = np.empty((n + q.size, u.size))
     values, pieces = np.empty_like(cands), np.empty(cands.shape, dtype=np.int64)
-    cands[n:], values[n:], pieces[n:] = q[:, None], fq[:, None], fn._at[:-1, None]
+    cands[n:], values[n:], pieces[n:] = q[:, None], fq[:, None], at[:, None]
     coords = np.arange(u.size)
     for m, (p, (edges, edge_values, owners)) in enumerate(zip(fn.pieces, unowned), 1):
         v = _closure_candidate(fn.surrogate(m), s, u, coords)

@@ -40,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .piecewise import CASE_CONTINUOUS_LINEAR, PiecewiseFn
-from .prox import _entries, _prox_entries, _prox_true_valued
+from .piecewise import PiecewiseFn, _entries
+from .prox import _check_step, _prox_entries, _prox_true_valued
 from .smooth import SmoothLoss
 
 __all__ = [
@@ -96,9 +96,8 @@ class Problem:
     penalty: object
     _groups: tuple = field(init=False, repr=False, default=())  # (fn, coordinates, offset)
     _surrogates: tuple = field(init=False, repr=False, default=())  # the piece table
-    # rows (left, right) per table entry: its piece's closure bounds, those of the
-    # set it owns (an edge it does not own one float inward), and whether the
-    # endpoint record on that side is continuous
+    # the groups' owned-bounds tables side by side, one column per table entry
+    # (see PiecewiseFn): closure and owned bounds, record continuity
     _bounds: np.ndarray = field(init=False, repr=False, default=None)
     _record_continuous: np.ndarray = field(init=False, repr=False, default=None)
     _r0: np.ndarray = field(init=False, repr=False, default=None)  # R0 per coordinate
@@ -124,17 +123,10 @@ class Problem:
             groups.append((fn, ix, len(table)))
             table += fn.surrogates
             r0[ix] = fn.R0
-        closure = np.array([[sur.piece.left, sur.piece.right] for sur in table]).T
-        owns = np.array([[0 <= j < len(sur.source.endpoints)
-                          and sur.source.endpoints[j].owner == sur.m
-                          for j in (sur.m - 2, sur.m - 1)] for sur in table]).T
-        inward = np.nextafter(closure, [[np.inf], [-np.inf]])
-        bounds = np.vstack([closure, np.where(owns, closure, inward)])
-        continuous = [[sur.left_case == CASE_CONTINUOUS_LINEAR for sur in table],
-                      [sur.right_case == CASE_CONTINUOUS_LINEAR for sur in table]]
         for name, value in (("_groups", tuple(groups)), ("_surrogates", tuple(table)),
-                            ("_bounds", bounds),
-                            ("_record_continuous", np.array(continuous)),
+                            ("_bounds", np.hstack([fn._bounds for fn in by_fn])),
+                            ("_record_continuous",
+                             np.hstack([fn._record_continuous for fn in by_fn])),
                             ("_r0", r0)):
             object.__setattr__(self, name, value)
 
@@ -358,12 +350,6 @@ def default_step_size(problem: Problem) -> float:
     if L <= 0:
         return 1.0
     return 0.5 / L
-
-
-def _check_step(s: float) -> float:
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"step size must be finite and positive, got {s!r}")
-    return s
 
 
 # A probe no worse than F(x) by this share of |F(x)| passes ppgd's guard and

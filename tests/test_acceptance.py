@@ -75,7 +75,9 @@ def test_criterion_1_prox_oracle_suite():
             s = rng.uniform(1e-3, 1.0)
             x = rng.uniform(-10.0, 10.0)
             closed = prox_surrogate(sur, s, float(x))
-            hw = minimizer_halfwidth(slope, jump, jumps, s, x, convex=sur.is_convex)
+            # a convex surrogate's prox is firmly nonexpansive: within s * slope of x
+            hw = (s * slope + 1e-3 if sur.is_convex
+                  else minimizer_halfwidth(slope, jump, jumps, s, x))
             oracle = prox_oracle(f_ref, s, float(x), hw, 1e-6)
             assert _objective(f_ref, s, x, closed) <= _objective(f_ref, s, x, oracle) + 1e-8, (
                 name, s, x, closed, oracle)

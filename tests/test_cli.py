@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from piecewise_prox import (Problem, capped_l1, default_step_size, least_squares,
-                            synth)
+import numpy as np
+
+from piecewise_prox import (Problem, capped_l1, default_step_size, indicator_penalty,
+                            l0_penalty, l1_penalty, least_squares, leaky_capped_l1, ppgd,
+                            synth, zero_penalty)
 from piecewise_prox.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -104,6 +107,24 @@ class TestSolve:
         assert "stationarity residual:" in out
         assert "restarts:" in out
         assert (tmp_path / "trace_ppgd.csv").exists()
+
+    @pytest.mark.parametrize("kind, penalty", [
+        ("capped-l1", lambda: capped_l1(0.2, 1.0)),
+        ("indicator", lambda: indicator_penalty(0.2, 0.0)),
+        ("leaky-capped-l1", lambda: leaky_capped_l1(0.2, 1.0, 0.1)),
+        ("l0", lambda: l0_penalty(0.2)),
+        ("l1", lambda: l1_penalty(0.2)),
+        ("zero", zero_penalty),
+    ])
+    def test_every_penalty_kind_matches_the_library(self, tmp_path, capsys, kind, penalty):
+        # the flag defaults --lam 0.2 --b 1 --tau 0 --beta 0.1, spelled out
+        code, out, err = run_cli(
+            ["solve", "--penalty", kind, "--n", "40", "--d", "6", "--iters", "30",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        data, _ = synth("regression", n=40, d=6, sparsity=0.2, noise=0.0, seed=0)
+        trace = ppgd(Problem(least_squares(data), penalty()), np.zeros(6), K=30)
+        assert f"final objective: {trace.final_objective:.12g}\n" in out
 
     @pytest.mark.parametrize("solver", ["pgd", "apg", "ppgd"])
     def test_zero_step_exits_2(self, tmp_path, solver, capsys):

@@ -226,6 +226,22 @@ def closure_claims(fn, x):
     return count, index
 
 
+def point_owned(tags, far=(2.0, 0.5)):
+    """A point piece at 0 with value 0.2 between constants far[0] and far[1],
+    owning 0 through the two tags."""
+    return build_piecewise([PieceSpec(-math.inf, 0.0, Constant(far[0])),
+                            PieceSpec(0.0, 0.0, Constant(0.2)),
+                            PieceSpec(0.0, math.inf, Constant(far[1]))], tags)
+
+
+def right_only_then_continuous():
+    """A jump owned from the right at 0, then a continuous slope drop at 1."""
+    return build_piecewise([PieceSpec(-math.inf, 0.0, Constant(1.0)),
+                            PieceSpec(0.0, 1.0, Affine(0.5, 0.0)),
+                            PieceSpec(1.0, math.inf, Constant(0.5))],
+                           ["right-only", "continuous"])
+
+
 class TestMembership:
     def test_capped_l1_endpoint_ownership(self):
         fn = capped_l1(0.2, 1.0)
@@ -252,12 +268,16 @@ class TestMembership:
         lambda: leaky_capped_l1(1.0, 1.0, 0.5),
         lambda: l1_penalty(0.3),
         quad_on_segments,
+        lambda: point_owned(["right-only", "left-only"]),
+        lambda: point_owned(["isolated", "left-only"], far=(1.0, 2.0)),
+        right_only_then_continuous,
     ])
     def test_tiling(self, fn_factory):
         fn = fn_factory()
         assert [e.owner for e in fn.endpoints] == [tag_owner(fn, j) for j in range(fn.n_pieces - 1)]
         rng = np.random.default_rng(0)
-        pts = [rng.uniform(-10, 10, size=10_000)]
+        big = np.finfo(float).max
+        pts = [rng.uniform(-10, 10, size=10_000), np.array([-big, big, -5e-324, 5e-324])]
         for e in fn.endpoints:
             q = e.value
             ulp = np.spacing(abs(q) + 1.0)
@@ -451,10 +471,11 @@ class TestSurrogates:
                              ids=["capped-l1", "indicator", "leaky", "l0", "l1", "zero",
                                   "quadratic-segments"])
     def test_owner_values_match_evaluate(self, fn):
-        q, fq, unowned = fn._owner_values
+        q, fq, at, unowned = fn._owner_values
         assert q.tolist() == sorted({e.value for e in fn.endpoints})
         assert fq.tobytes() == fn.evaluate(q).tobytes()
         owner = fn.piece_index(q)
+        assert at.tolist() == owner.tolist()
         for m, (edges, values, owners) in enumerate(unowned, start=1):
             lo, hi = fn.piece_bounds(m)
             expect = [j for j, v in enumerate(q) if v in (lo, hi) and owner[j] != m]
@@ -466,6 +487,17 @@ class TestSurrogates:
         fn = capped_l1(0.2, 1.0)
         with pytest.raises(IndexError):
             fn.surrogate(4)
+
+    @pytest.mark.parametrize("x, assign, match", [
+        ([0.5, 2.0, -3.0], [0, 7, 2], "coordinate 0 has surrogate number 0, outside 1..3"),
+        ([0.5, 2.0, -3.0], [2, 3, 4], "coordinate 2 has surrogate number 4"),
+        ([[0.5, 2.0], [-3.0, 0.1]], [[2, 3], [1, 9]], "coordinate 3 has surrogate number 9"),
+        ([0.5, 2.0, -3.0], [2, 3], "expected 3 surrogates"),
+    ])
+    def test_surrogate_values_rejects_bad_numbers(self, x, assign, match):
+        # out-of-range numbers once came back as whatever np.empty_like held
+        with pytest.raises(ValueError, match=match):
+            capped_l1(0.2, 1.0).surrogate_values(np.array(x), np.array(assign))
 
 
 class TestSlopeEstimation:

@@ -198,6 +198,23 @@ class TestVector:
         with pytest.raises(ValueError, match="surrogates"):
             prox_vector(fn.surrogates, [1], 0.5, np.zeros(2))
 
+    @pytest.mark.parametrize("call", [
+        lambda fn, s, u: prox_surrogate(fn.surrogate(2), s, 0.5),
+        lambda fn, s, u: prox_vector(fn.surrogates, fn.piece_index(u), s, u),
+        lambda fn, s, u: prox_true(fn, s, u),
+        lambda fn, s, u: prox_oracle(fn.evaluate, s, 0.5, 1.0, 1e-3),
+        lambda fn, s, u: Problem(least_squares(Dataset(np.eye(2), np.ones(2))), fn)
+        .prox_step([2, 3], s, u),
+        lambda fn, s, u: Problem(least_squares(Dataset(np.eye(2), np.ones(2))), fn)
+        .prox_exact(s, u),
+    ], ids=["prox_surrogate", "prox_vector", "prox_true", "prox_oracle", "prox_step",
+            "prox_exact"])
+    @pytest.mark.parametrize("s", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_step_rejected(self, call, s):
+        # each once returned numbers or raised a ProxError about NaN objectives
+        with pytest.raises(ValueError, match="step size must be finite and positive"):
+            call(capped_l1(0.2, 1.0), s, np.array([0.5, 2.0]))
+
     @pytest.mark.parametrize("assign, first", [([0, 4, 2], 0), ([1, 2, 4], 2), ([1, 1.5, 2], 1)])
     def test_number_outside_table(self, assign, first):
         # no entry serves such a coordinate; it once came back as np.empty garbage
@@ -383,6 +400,16 @@ def signed_zero_edge():
     )
 
 
+def signed_zero_unowned_edge():
+    # at u = -0.0 piece 1's candidate -0.0 sits on the edge piece 2 owns and
+    # wins the tie with piece 2's +0.0 and the breakpoint row: it must stay
+    # a candidate, valued as the owner values 0
+    return build_piecewise(
+        [PieceSpec(-math.inf, 0.0, Constant(1.0)), PieceSpec(0.0, math.inf, Affine(0.5, 0.0))],
+        ["right-only"],
+    )
+
+
 def mixed_tag_point():
     # the point piece owns 0 through a right-only and a left-only record
     return build_piecewise(
@@ -455,10 +482,10 @@ class TestProxTrue:
         lambda: indicator_penalty(0.7, 0.0), lambda: leaky_capped_l1(1.0, 1.0, 0.5),
         lambda: l0_penalty(0.5), lambda: l1_penalty(0.3), zero_penalty,
         constant_limit_wing, linear_wings, capped_pseudo_huber, mixed_tag_point,
-        signed_zero_edge,
+        signed_zero_edge, signed_zero_unowned_edge,
     ], ids=["capped-l1", "indicator", "indicator-at-0", "leaky-capped-l1", "l0", "l1",
             "zero", "constant-limit-wing", "linear-wings", "capped-pseudo-huber",
-            "mixed-tag-point", "signed-zero-edge"])
+            "mixed-tag-point", "signed-zero-edge", "signed-zero-unowned-edge"])
     def test_equals_membership_valuation(self, make):
         fn = make()
         rng = np.random.default_rng(31)
