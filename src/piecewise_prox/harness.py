@@ -14,8 +14,9 @@ starting point; ``F_surrogate_z`` is empty there).  Report JSON: a config echo
 plus the rate-fit reference objective and one summary record per solver
 (final objective, transition count, rate slope, residual, wall time).
 Config JSON keys: ``loss``, ``penalty {kind, params}``,
-``data {kind, ...}``, ``solvers [{name, s, w0, K}]``, ``output_dir``, ``x0``,
+``data {kind, ...}``, ``solvers [{name, s, w0, K}]``, ``output_dir``,
 ``seed``, ``tail_fraction``, ``record_timing``, ``reference_multiple``.
+Every run starts at zeros.
 The config and each solver entry are JSON objects; ``loss``, ``penalty``,
 ``data``, ``output_dir`` and each solver's ``name`` are required, and the
 penalty params are numbers that its builder takes.
@@ -254,7 +255,6 @@ class ExperimentConfig:
     data: dict
     solvers: tuple
     output_dir: str
-    x0: str = "zeros"
     seed: int = 0
     tail_fraction: float = 0.5
     record_timing: bool = True
@@ -295,20 +295,9 @@ class ExperimentConfig:
         return ExperimentConfig(solvers=solvers, **kw)
 
     def to_dict(self) -> dict:
-        return {
-            "loss": self.loss,
-            "penalty": self.penalty,
-            "data": self.data,
-            "solvers": [
-                {"name": s.name, "s": s.s, "w0": s.w0, "K": s.K} for s in self.solvers
-            ],
-            "output_dir": self.output_dir,
-            "x0": self.x0,
-            "seed": self.seed,
-            "tail_fraction": self.tail_fraction,
-            "record_timing": self.record_timing,
-            "reference_multiple": self.reference_multiple,
-        }
+        doc = dataclasses.asdict(self)
+        doc["solvers"] = list(doc["solvers"])  # from_dict takes a list, as JSON gives it
+        return doc
 
 
 # the keys each data kind needs, and the check of each key a kind may read
@@ -365,11 +354,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Problem, np.ndarray]:
         raise ValueError(f"unknown loss {cfg.loss!r}")
     penalty = builtin_penalty(cfg.penalty["kind"], **cfg.penalty.get("params", {}))
     problem = Problem(loss, penalty)
-    if cfg.x0 == "zeros":
-        x0 = np.zeros(problem.d)
-    else:
-        raise ValueError(f"unknown x0 policy {cfg.x0!r}")
-    return problem, x0
+    return problem, np.zeros(problem.d)
 
 
 # ---------------------------------------------------------------------------

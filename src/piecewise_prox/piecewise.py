@@ -28,13 +28,12 @@ certificates:
 kind exists; downstream formulas drop the corresponding terms.
 
 Each piece induces a surrogate function that agrees with the penalty on the
-piece and extends outside it with the simplest compatible structure: linearly
-through the breakpoint value when the penalty is continuous there, linearly
-through the one-sided limit when the piece does not own a discontinuous
-breakpoint, and as the constant far-side limit when it does (the nonconvex
-case).  ``PiecewiseFn.surrogates`` holds the surrogate of every piece in
-piece order, and ``surrogate_values`` values the surrogates of given pieces at
-an array.  Every built-in shape has a closed-form ``prox(u, s)``, the
+piece and extends past each finite edge by a line: the piece's own limit and
+one-sided slope, or the constant far-side limit when the piece owns a jump
+there (the nonconvex case).  The table pass builds these surrogates from the
+same decode of each endpoint record, and ``PiecewiseFn.surrogates`` holds
+them in piece order; ``surrogate_values`` values the surrogates of given
+pieces at an array.  Every built-in shape has a closed-form ``prox(u, s)``, the
 minimizer of (1/2s)(v - u)^2 + shape(v) over the whole line; ``prox`` builds
 each surrogate's prox from it and the surrogate's wing data.  A
 ``CustomShape`` has none and takes a grid search on its piece's closure.
@@ -338,39 +337,19 @@ def _probe_convexity(piece: Piece) -> None:
 # surrogate functions
 # ---------------------------------------------------------------------------
 
-CASE_NONE = "none"
-CASE_CONTINUOUS_LINEAR = "continuous-linear"
-CASE_LIMIT_LINEAR = "limit-linear"
-CASE_CONSTANT_LIMIT = "constant-limit"
-
-
 @dataclass(frozen=True, eq=False)
 class SurrogateFn:
-    """Extension of one piece to the whole line.
+    """Extension of one piece to the whole line: past each finite edge of the
+    piece, the wing "value + slope * (x - edge)".  A wing is the piece's own
+    limit and one-sided slope, or, where the piece owns a jump, the constant
+    far-side limit (slope 0), which makes the surrogate nonconvex."""
 
-    ``left_case``/``right_case`` record which branch produced each side:
-    ``continuous-linear`` and ``limit-linear`` extend with the piece's
-    one-sided slope, ``constant-limit`` is the nonconvex constant branch.
-    """
-
-    source: "PiecewiseFn"
-    m: int  # 1-based source piece index
-    left_case: str
-    right_case: str
-    # linear extension "value + slope * (x - edge)" past the piece's own edge;
-    # the constant branch stores the constant in value with slope 0.
+    piece: Piece
     left_value: float = math.nan
     left_slope: float = 0.0
     right_value: float = math.nan
     right_slope: float = 0.0
-
-    @property
-    def piece(self) -> Piece:
-        return self.source.pieces[self.m - 1]
-
-    @property
-    def is_convex(self) -> bool:
-        return CASE_CONSTANT_LIMIT not in (self.left_case, self.right_case)
+    is_convex: bool = True
 
     def __call__(self, x):
         """Surrogate value at x; the piece's shape runs on its closure only."""
@@ -390,14 +369,6 @@ class SurrogateFn:
             out[below] = self.left_value + self.left_slope * (arr[below] - p.left)
             out[above] = self.right_value + self.right_slope * (arr[above] - p.right)
         return float(out[0]) if scalar else out
-
-    def slope_bound(self) -> float:
-        b = self.piece.slope_bound()
-        if self.left_case != CASE_NONE:
-            b = max(b, abs(self.left_slope))
-        if self.right_case != CASE_NONE:
-            b = max(b, abs(self.right_slope))
-        return b
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +391,7 @@ class PiecewiseFn:
     # own_hi, and whether the endpoint record on the left/right is continuous
     _bounds: np.ndarray = field(repr=False, default=None)
     _record_continuous: np.ndarray = field(repr=False, default=None)
+    surrogates: tuple = field(repr=False, default=())  # every piece's, in piece order
 
     @property
     def n_pieces(self) -> int:
@@ -481,40 +453,11 @@ class PiecewiseFn:
         foreign = [((q == p.left) | (q == p.right)) & (at != p.index) for p in self.pieces]
         return q, fq, at, tuple((q[f], fq[f], at[f]) for f in foreign)
 
-    # -- surrogates -----------------------------------------------------------
-
-    @cached_property
-    def surrogates(self) -> tuple:
-        """The surrogate extension of every piece, in piece order."""
-        return tuple(_make_surrogate(self, m) for m in range(1, self.n_pieces + 1))
-
     def surrogate(self, m: int) -> SurrogateFn:
         """Surrogate extension of piece m (1-based)."""
         if not 1 <= m <= self.n_pieces:
             raise IndexError(f"piece index {m} outside 1..{self.n_pieces}")
         return self.surrogates[m - 1]
-
-
-def _make_surrogate(fn: PiecewiseFn, m: int) -> SurrogateFn:
-    p = fn.pieces[m - 1]
-    kw = dict(left_case=CASE_NONE, right_case=CASE_NONE)
-    # endpoint record m-2 closes piece m on the left and record m-1 on the
-    # right; the far-side limit is the neighbour's value at its near end
-    for side, j, edge, value, slope in (("left", m - 2, p.left, p.value_left, p.left_slope),
-                                        ("right", m - 1, p.right, p.value_right, p.right_slope)):
-        if not math.isfinite(edge):
-            continue
-        e = fn.endpoints[j]
-        if e.is_continuous:
-            case = CASE_CONTINUOUS_LINEAR
-        elif e.owner != m:  # piece m does not own q: extend its own limit linearly
-            case = CASE_LIMIT_LINEAR
-        else:  # piece m owns a discontinuous q: constant far-side limit
-            far = fn.pieces[j].value_right if side == "left" else fn.pieces[m].value_left
-            case, value, slope = CASE_CONSTANT_LIMIT, far, 0.0
-        kw.update({f"{side}_case": case, f"{side}_value": value, f"{side}_slope": slope})
-
-    return SurrogateFn(source=fn, m=m, **kw)
 
 
 def _entries(surrogates, assignment: np.ndarray, shape) -> list:
@@ -572,8 +515,6 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str]) -> Pi
         if a.is_point and b.is_point:
             raise PiecewiseBuildError(f"pieces {a.index} and {b.index} are both single points")
     for p in pieces:
-        if p.is_point and (p.index == 1 or p.index == M):
-            raise PiecewiseBuildError("single-point pieces must be interior")
         if not p.shape.is_convex():
             raise PiecewiseBuildError(f"piece {p.index}: evaluator is not convex")
         if not p.is_point and p.left_slope > p.right_slope + _MATCH_TOL:
@@ -626,7 +567,7 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str]) -> Pi
             jumps.append(abs(far - own))
     endpoints = tuple(endpoints)
 
-    bounds, record_continuous = _piece_table(pieces, endpoints)
+    bounds, record_continuous, surrogates = _piece_table(pieces, endpoints)
     F0, R0, s0 = _structural_constants(pieces, endpoints)
     if M > 1 and not math.isfinite(F0):
         raise PiecewiseBuildError(
@@ -635,25 +576,46 @@ def build_piecewise(specs: Sequence[PieceSpec], continuity: Sequence[str]) -> Pi
         )
     C = min(drops) if drops else math.inf
     J = min(jumps) if jumps else math.inf
-    return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0, bounds, record_continuous)
+    return PiecewiseFn(tuple(pieces), endpoints, C, J, F0, R0, s0, bounds, record_continuous,
+                       surrogates)
 
 
 def _piece_table(pieces, endpoints):
-    """The owned-bounds table (see PiecewiseFn) from the endpoints' owners;
-    only one piece may own a breakpoint value."""
+    """The owned-bounds table (see PiecewiseFn) and every piece's surrogate,
+    from one decode of the endpoint record on each side of each piece into
+    (owns, continuous); only one piece may own a breakpoint value."""
     owners: dict[float, int] = {}
     for e in endpoints:
         if owners.setdefault(e.value, e.owner) != e.owner:
             raise PiecewiseBuildError(f"endpoint {e.value}: pieces {owners[e.value]} and "
                                       f"{e.owner} both claim the breakpoint")
-    # endpoint record m-2 closes piece m on the left and record m-1 on the right
-    sides = ((None, *endpoints), (*endpoints, None))
+    M, owns, continuous, surrogates = len(pieces), [], [], []
+    for m, p in enumerate(pieces, 1):
+        # endpoint record m-2 closes piece m on the left and record m-1 on the
+        # right, with the neighbour's limit there on the far side; an infinite
+        # edge has neither
+        wings, convex = [], True
+        for record, limit, slope in (
+                ((endpoints[m - 2], pieces[m - 2].value_right) if m > 1 else None,
+                 p.value_left, p.left_slope),
+                ((endpoints[m - 1], pieces[m].value_left) if m < M else None,
+                 p.value_right, p.right_slope)):
+            e, far = record or (None, math.nan)
+            owns.append(e is not None and e.owner == m)
+            continuous.append(e is not None and e.is_continuous)
+            if e is None:
+                wing = (math.nan, 0.0)
+            elif owns[-1] and not continuous[-1]:  # a jump it owns: the nonconvex case
+                wing, convex = (far, 0.0), False
+            else:
+                wing = (limit, slope)
+            wings += wing
+        surrogates.append(SurrogateFn(p, *wings, convex))
     closure = np.array([[p.left for p in pieces], [p.right for p in pieces]])
-    owns = [[e is not None and e.owner == p.index for e, p in zip(side, pieces)]
-            for side in sides]
+    owns, continuous = (np.array(t).reshape(M, 2).T for t in (owns, continuous))
     inward = np.nextafter(closure, [[np.inf], [-np.inf]])
-    continuous = [[e is not None and e.is_continuous for e in side] for side in sides]
-    return np.vstack([closure, np.where(owns, closure, inward)]), np.array(continuous)
+    return (np.vstack([closure, np.where(owns, closure, inward)]), continuous,
+            tuple(surrogates))
 
 
 def _structural_constants(pieces, endpoints):

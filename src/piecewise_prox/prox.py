@@ -3,7 +3,7 @@
 ``_surrogate_prox`` is the one prox rule for a surrogate.  Its closure
 candidate is the point itself on a single-point piece, the shape's closed-form
 ``prox`` clipped to the closure, or, for a custom shape, a grid-section search
-on the closure.  A convex surrogate (no constant-limit wing) takes a wing's own
+on the closure.  A convex surrogate (no constant wing) takes a wing's own
 minimizer where it lies strictly beyond that wing's edge; a nonconvex one keeps
 the best of the closure candidate and each wing minimizer that lies on its
 wing.  ``prox_surrogate`` applies it at one point, ``prox_vector`` to each
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .piecewise import CASE_NONE, CustomShape, PiecewiseFn, SurrogateFn, _entries
+from .piecewise import CustomShape, PiecewiseFn, SurrogateFn, _entries
 
 __all__ = [
     "ProxError",
@@ -176,10 +176,10 @@ def _surrogate_prox(sur: SurrogateFn, s: float, u: np.ndarray, coords) -> np.nda
     p = sur.piece
     v = _closure_candidate(sur, s, u, coords)
     wings = []  # (minimizer, where it lies beyond the edge, the wing's value there)
-    if sur.left_case != CASE_NONE:
+    if math.isfinite(p.left):
         w = u - s * sur.left_slope
         wings.append((w, w < p.left, lambda x: sur.left_value + sur.left_slope * (x - p.left)))
-    if sur.right_case != CASE_NONE:
+    if math.isfinite(p.right):
         w = u - s * sur.right_slope
         wings.append((w, w > p.right, lambda x: sur.right_value + sur.right_slope * (x - p.right)))
     if sur.is_convex:
@@ -229,7 +229,7 @@ def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: floa
         return np.concatenate([_closure_prox(sur, s, u[i:i + _BLOCK], lo, hi,
                                              coords[i:i + _BLOCK])
                                for i in range(0, u.size, _BLOCK)])
-    hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, 0.0)
+    hw = minimizer_halfwidth(sur.piece.slope_bound(), 0.0, (), s, 0.0)
     a, b = np.maximum(lo, u - hw), np.minimum(hi, u + hw)
     edge, miss = np.where(u < lo, lo, hi), a > b
     psi = _objective(sur.piece.shape, s, u)
@@ -248,8 +248,9 @@ def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
     The caller must pick ``halfwidth`` large enough to bracket the true
     minimizer (see :func:`minimizer_halfwidth`).
     """
-    if resolution <= 0 or halfwidth <= 0:
-        raise ValueError("halfwidth and resolution must be positive")
+    if not all(math.isfinite(t) and t > 0 for t in (halfwidth, resolution)):
+        raise ValueError("halfwidth and resolution must be finite and positive, "
+                         f"got {halfwidth!r} and {resolution!r}")
     _check_step(s)
     lo, hi = x - halfwidth, x + halfwidth
     n = int(math.ceil(2.0 * halfwidth / resolution)) + 1

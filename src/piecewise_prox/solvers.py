@@ -145,7 +145,7 @@ class Problem:
 
     def assignments(self, x) -> np.ndarray:
         """Per coordinate, the 1-based table number of its own piece."""
-        x = np.asarray(x, dtype=float)
+        x = self.loss._check(x)
         out = np.empty(self.d, dtype=np.int64)
         for fn, ix, offset in self._groups:
             out[ix] = fn.piece_index(x[ix]) + offset
@@ -168,7 +168,7 @@ class Problem:
     def surrogate_penalty(self, assignment, v) -> float:
         """sum_i of table entry assignment_i's surrogate at v_i, one sum per
         penalty group: the penalty sum_i f(v_i) when the pieces are v's own."""
-        v = np.asarray(v, dtype=float)
+        v = self.loss._check(v)
         values = np.empty(self.d)
         for sur, sel in self._plan(assignment).entries:
             values[sel] = sur(v[sel])
@@ -185,7 +185,7 @@ class Problem:
     def prox_exact(self, s: float, v: np.ndarray):
         """(z, X @ z, F(z), z's piece assignment) for z the exact prox at v, one
         penalty group at a time, with f as its own valuation gives it."""
-        v = np.asarray(v, dtype=float)
+        v = self.loss._check(v)
         z, assign, total = np.empty_like(v), np.empty(self.d, dtype=np.int64), 0.0
         for fn, ix, offset in self._groups:
             z[ix], values, pieces = _prox_true_valued(fn, s, v[ix])
@@ -198,9 +198,8 @@ class Problem:
         """Clamp u coordinatewise to the closure of x_i's piece intersected
         with the radius-R0 box around x_i; an infinite R0 leaves the closure."""
         plan = self._plan(assignment)
-        x = np.asarray(x, dtype=float)
-        return np.asarray(u, dtype=float).clip(np.maximum(plan.lo, x - self._r0),
-                                               np.minimum(plan.hi, x + self._r0))
+        x, u = self.loss._check(x), self.loss._check(u)
+        return u.clip(np.maximum(plan.lo, x - self._r0), np.minimum(plan.hi, x + self._r0))
 
     def nce(self, z, w, w0: float, assign_x, assign_z) -> bool:
         """Whether negative-curvature exploitation accepts the probe z, taken
@@ -226,7 +225,7 @@ class Problem:
         if missing.size:
             i = missing[0]
             raise SolverError(
-                f"no endpoint of piece {self._surrogates[a[i]].m} lies between "
+                f"no endpoint of piece {self._surrogates[a[i]].piece.index} lies between "
                 f"w={float(wc[i])!r} and z={float(zc[i])!r}; piece metadata is inconsistent"
             )
         at_lo = lo_in & ~(hi_in & (np.abs(hi - wc) < np.abs(lo - wc)))

@@ -144,6 +144,28 @@ class TestValidation:
         with pytest.raises(CertificateError, match="must be positive"):
             certify_step_size(L_g=1.0, G=0.1, F0=0.2, **kw)
 
+    @pytest.mark.parametrize("name", ["L_g", "G", "F0", "w0"])
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    def test_negative_or_non_finite_input_rejected(self, name, value):
+        kw = {"L_g": 1.0, "G": 0.1, "F0": 0.2, "w0": 0.5, name: value}
+        with pytest.raises(CertificateError, match=f"{name} must be finite and nonnegative"):
+            certify_step_size(**kw)
+
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(CertificateError, match="d must be at least 1"):
+            certify_step_size(L_g=1.0, G=0.1, F0=0.2, d=0)
+
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_kappas_need_a_positive_step(self, s):
+        cert = certify_step_size(L_g=1.0, G=0.1, F0=0.2)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            cert.kappas(s)
+
+    def test_describe_infeasible(self):
+        cert = certify_step_size(L_g=1.0, G=4.0, F0=0.2, C=0.2, eps0=0.8, s0=1.0, R0=2.0)
+        assert cert.describe().endswith(
+            "  infeasible: no positive step size certifies a kappa decrease")
+
     def test_describe_mentions_binding_term(self):
         cert = certify_step_size(L_g=2.0, G=1.0, F0=0.5)
         assert "binding term: 1/L_g" in cert.describe()

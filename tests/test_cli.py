@@ -7,8 +7,9 @@ import pytest
 import numpy as np
 
 from piecewise_prox import (Problem, capped_l1, default_step_size, indicator_penalty,
-                            l0_penalty, l1_penalty, least_squares, leaky_capped_l1, ppgd,
-                            synth, zero_penalty)
+                            l0_penalty, l1_penalty, least_squares, leaky_capped_l1, load_idx,
+                            ppgd, subsample_binary, synth, write_idx,
+                            zero_penalty)
 from piecewise_prox.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -95,6 +96,19 @@ class TestProxCheck:
             assert gap <= 1e-8
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--kernel", "soft-threshold", "--s", "1e308"],  # the bracket overflows to inf
+        ["--kernel", "identity", "--s", "1e308"],  # inf * 0: a NaN bracket
+        ["--kernel", "hard-threshold", "--resolution", "nan"],
+    ], ids=["inf-halfwidth", "nan-halfwidth", "nan-resolution"])
+    def test_non_finite_oracle_bracket_exits_2(self, argv, capsys):
+        # these once ended in an OverflowError traceback or a NaN-to-int error
+        code, out, err = run_cli(["prox-check", *argv, "--n-draws", "2"], capsys)
+        assert code == 2
+        assert err.startswith("error: halfwidth and resolution must be finite and positive")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestSolve:
     def test_end_to_end(self, tmp_path, capsys):
         code, out, err = run_cli(
@@ -161,6 +175,27 @@ class TestSolve:
         data, _ = synth("regression", n=20, d=3, sparsity=0.2, noise=0.0, seed=0)
         step = default_step_size(Problem(least_squares(data), capped_l1(0.2, 1.0)))
         assert f"step size: {step:.6g}\n" in out
+
+    def test_idx_requires_images(self, capsys):
+        code, out, err = run_cli(["solve", "--data", "idx", "--labels", "l.idx"], capsys)
+        assert code == 1
+        assert "--images and --labels are required with --data idx" in err
+
+    @pytest.mark.parametrize("classes", [[], ["--class-a", "3", "--class-b", "7"]],
+                             ids=["all-labels", "subsampled"])
+    def test_idx_matches_the_library(self, tmp_path, capsys, classes):
+        rng = np.random.default_rng(2)
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx(ip, lp, rng.random((30, 4)), np.repeat([3, 7, 1], 10), 2, 2)
+        code, out, err = run_cli(["solve", "--data", "idx", "--images", str(ip), "--labels",
+                                  str(lp), *classes, "--per-class", "6", "--iters", "20",
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        data = load_idx(ip, lp)
+        if classes:  # --seed 0 draws the subsample
+            data = subsample_binary(data, 3, 7, per_class=6, seed=0)
+        trace = ppgd(Problem(least_squares(data), capped_l1(0.2, 1.0)), np.zeros(4), K=20)
+        assert f"final objective: {trace.final_objective:.12g}\n" in out
 
     def test_csv_requires_path(self, capsys):
         code, out, err = run_cli(["solve", "--data", "csv"], capsys)

@@ -85,6 +85,31 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="expected"):
             load_idx(bad, lp)
 
+    @pytest.mark.parametrize("which, edit, message", [
+        (0, lambda raw: raw[:15], "images file truncated before the 16-byte header"),
+        (1, lambda raw: raw[:7], "labels file truncated before the 8-byte header"),
+        (1, lambda raw: struct.pack(">I", 2051) + raw[4:], "labels magic 2051 != 2049"),
+        (1, lambda raw: raw + b"\x00", "labels payload is 11 bytes, expected 10"),
+    ], ids=["images-header", "labels-header", "labels-magic", "labels-payload"])
+    def test_malformed_file_rejected(self, idx_pair, tmp_path, which, edit, message):
+        paths = list(idx_pair[:2])
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(edit(paths[which].read_bytes()))
+        paths[which] = bad
+        with pytest.raises(IdxFormatError, match=re.escape(message)):
+            load_idx(*paths)
+
+    def test_empty_pair_rejected(self, tmp_path):
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx(ip, lp, np.zeros((0, 4)), np.zeros(0), 2, 2)
+        with pytest.raises(IdxFormatError, match="empty IDX payload"):
+            load_idx(ip, lp)
+
+    def test_write_checks_the_image_shape(self, tmp_path):
+        with pytest.raises(ValueError, match="images shape does not match rows \\* cols"):
+            write_idx(tmp_path / "i.idx", tmp_path / "l.idx", np.zeros((2, 10)),
+                      np.zeros(2), 3, 3)
+
     def test_header_fuzz_every_single_byte_corruption_rejected(self, idx_pair, tmp_path):
         ip, lp, _, _ = idx_pair
         orig = bytearray(ip.read_bytes())
@@ -155,6 +180,17 @@ class TestCsv:
         p.write_text("1,2,3\n4,x,6\n")
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(p)
+
+    def test_one_column_rejected(self, tmp_path):
+        p = tmp_path / "o.csv"
+        p.write_text("1\n2\n")
+        with pytest.raises(ValueError, match="need at least one feature column plus the label"):
+            load_csv(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_text("1.0,2.0,1\n\n3.0,4.0,-1\n")
+        assert load_csv(p).features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestSynth:
@@ -364,8 +400,12 @@ class TestRunExperiment:
          "penalty params must be a JSON object"),
         (lambda doc: {**doc, "solvers": 5}, "solvers must be a JSON list"),
         (lambda doc: {**doc, "solvers": None}, "solvers must be a JSON list"),
+        (lambda doc: {**doc, "solvers": [{"name": "newton"}]}, "unknown solver 'newton'"),
+        (lambda doc: {**doc, "solvers": []}, "config needs at least one solver"),
+        (lambda doc: {**doc, "x0": "zeros"}, r"unknown config keys: \['x0'\]"),
     ], ids=["list", "solver-string", "solver-key", "solver-name", "missing-loss",
-            "penalty-string", "params-list", "solvers-number", "solvers-null"])
+            "penalty-string", "params-list", "solvers-number", "solvers-null",
+            "solver-unknown", "solvers-empty", "x0"])
     def test_malformed_config_rejected(self, tmp_path, edit, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(edit(desk_config(tmp_path).to_dict()))
@@ -393,14 +433,35 @@ class TestRunExperiment:
         ({"kind": "idx", "images": "x.idx"}, "data key 'labels' is required for kind 'idx'"),
         ({"kind": "idx", "images": "x.idx", "labels": "y.idx", "class_a": 3},
          "data key 'class_b' is required for kind 'idx'"),
+        ({"kind": "libsvm"}, "unknown data kind 'libsvm'"),
     ], ids=["n-string", "d-float", "sparsity-string", "noise-null", "scale-list",
-            "seed-float", "csv-no-path", "csv-path-number", "idx-no-labels", "idx-no-class-b"])
+            "seed-float", "csv-no-path", "csv-path-number", "idx-no-labels", "idx-no-class-b",
+            "kind-unknown"])
     def test_bad_data_values_rejected(self, tmp_path, data, message):
         doc = desk_config(tmp_path).to_dict()
         doc["data"] = {**doc["data"], **data}
         cfg = ExperimentConfig.from_dict(doc)
         with pytest.raises(ValueError, match=re.escape(message)):
             build_problem(cfg)
+
+    def test_unknown_loss_rejected(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({**desk_config(tmp_path).to_dict(), "loss": "hinge"})
+        with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+            build_problem(cfg)
+
+    def test_idx_data_subsampled(self, tmp_path):
+        rng = np.random.default_rng(4)
+        images, labels = rng.random((12, 6)), np.repeat([3, 7, 1], 4)
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx(ip, lp, images, labels, 2, 3)
+        doc = desk_config(tmp_path).to_dict()
+        doc["data"] = {"kind": "idx", "images": str(ip), "labels": str(lp),
+                       "class_a": 3, "class_b": 7, "per_class": 2, "seed": 5}
+        problem, x0 = build_problem(ExperimentConfig.from_dict(doc))
+        want = subsample_binary(load_idx(ip, lp), 3, 7, per_class=2, seed=5)
+        assert problem.loss.data.features.tobytes() == want.features.tobytes()
+        assert problem.loss.data.labels.tolist() == want.labels.tolist()
+        assert x0.tolist() == [0.0] * 6
 
     def test_numpy_integer_data_values_accepted(self, tmp_path):
         # n, d and seed take numpy integers alike, as a config built in Python may

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from piecewise_prox import (
 )
 
 
-from piecewise_prox import Affine
+from piecewise_prox import Affine, Endpoint
 from piecewise_prox.piecewise import builtin_penalty
 
 
@@ -110,6 +111,54 @@ class TestBuild:
                  PieceSpec(0.0, math.inf, Constant(0.0))],
                 ["isolated"],
             )
+
+    @pytest.mark.parametrize("specs, tags, message", [
+        ([], [], "at least one piece is required"),
+        ([PieceSpec(-math.inf, math.inf, Constant(0.0))], ["continuous"],
+         "0 continuity tags required, got 1"),
+        ([PieceSpec(-1.0, math.inf, Constant(0.0))], [], "first piece must extend to -inf"),
+        ([PieceSpec(-math.inf, 1.0, Constant(0.0))], [], "last piece must extend to +inf"),
+        ([PieceSpec(-math.inf, 0.0, Constant(2.0)), PieceSpec(0.0, 0.0, Constant(1.0)),
+          PieceSpec(0.0, 0.0, Constant(0.5)), PieceSpec(0.0, math.inf, Constant(2.0))],
+         ["isolated"] * 3, "pieces 2 and 3 are both single points"),
+        # a point piece at an end is finite, so the end is not unbounded
+        ([PieceSpec(0.0, 0.0, Constant(0.0)), PieceSpec(0.0, math.inf, Constant(1.0))],
+         ["isolated"], "first piece must extend to -inf"),
+        ([PieceSpec(-math.inf, 2.0, Constant(1.0)), PieceSpec(2.0, 1.0, Constant(0.0)),
+          PieceSpec(1.0, math.inf, Constant(1.0))], ["right-only", "left-only"],
+         "piece 2: left 2.0 exceeds right 1.0"),
+        ([PieceSpec(math.inf, math.inf, Constant(0.0))], [], "piece 1: degenerate infinite piece"),
+        ([PieceSpec(-math.inf, 0.0, Constant(1.0)), PieceSpec(0.0, 0.0, Constant(2.0)),
+          PieceSpec(0.0, math.inf, Constant(1.0))], ["isolated", "isolated"],
+         "isolated value must sit strictly below both limits"),
+        ([PieceSpec(-math.inf, math.inf, 3.0)], [], "unsupported piece evaluator 3.0"),
+        ([PieceSpec(-math.inf, math.inf, lambda x: np.full_like(x, np.inf))], [],
+         "piece 1: evaluator returned non-finite values"),
+    ], ids=["no-pieces", "tag-count", "first-bounded", "last-bounded", "adjacent-points",
+            "point-at-end", "left-above-right", "infinite-point", "isolated-above-limit",
+            "unsupported-evaluator", "non-finite-values"])
+    def test_structure_rejected(self, specs, tags, message):
+        with pytest.raises(PiecewiseBuildError, match=re.escape(message)):
+            build_piecewise(specs, tags)
+
+    def test_non_finite_endpoint_rejected(self):
+        with pytest.raises(PiecewiseBuildError, match="endpoint value must be finite"):
+            Endpoint(math.nan, "continuous", 1)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: capped_l1(0.0, 1.0), "capped-l1 requires lam > 0 and b > 0"),
+        (lambda: capped_l1(0.2, 0.0), "capped-l1 requires lam > 0 and b > 0"),
+        (lambda: indicator_penalty(0.0), "indicator requires lam > 0"),
+        (lambda: leaky_capped_l1(1.0, 1.0, 1.0), "leaky capped-l1 requires 0 <= beta < lam"),
+        (lambda: leaky_capped_l1(1.0, 0.0, 0.5), "leaky capped-l1 requires b > 0"),
+        (lambda: l0_penalty(-1.0), "l0 requires lam > 0"),
+        (lambda: l1_penalty(-0.1), "l1 requires lam >= 0"),
+        (lambda: builtin_penalty("l2", lam=1.0), "unknown penalty kind 'l2'"),
+    ], ids=["capped-lam", "capped-b", "indicator-lam", "leaky-beta", "leaky-b", "l0-lam",
+            "l1-lam", "unknown-kind"])
+    def test_builtin_parameters_rejected(self, make, message):
+        with pytest.raises(PiecewiseBuildError, match=re.escape(message)):
+            make()
 
     def test_nonconvex_evaluator_rejected(self):
         with pytest.raises(PiecewiseBuildError, match="convex"):
@@ -242,6 +291,33 @@ def right_only_then_continuous():
                            ["right-only", "continuous"])
 
 
+def point_then_line(tag):
+    """A point piece at 0 with value 0.2, owned from the left through tag and
+    continuous into a falling line on its right."""
+    return build_piecewise([PieceSpec(-math.inf, 0.0, Constant(2.0)),
+                            PieceSpec(0.0, 0.0, Constant(0.2)),
+                            PieceSpec(0.0, math.inf, Affine(-0.5, 0.2))], [tag, "continuous"])
+
+
+# penalties covering every continuity tag, and all six tag pairs a point piece
+# may carry: right-only or isolated on its left, continuous, left-only or
+# isolated on its right
+TILING_PENALTIES = [
+    lambda: capped_l1(0.2, 1.0),
+    lambda: indicator_penalty(2.0, 1.0),
+    lambda: l0_penalty(1.0),
+    lambda: leaky_capped_l1(1.0, 1.0, 0.5),
+    lambda: l1_penalty(0.3),
+    quad_on_segments,
+    lambda: point_owned(["right-only", "left-only"]),
+    lambda: point_owned(["isolated", "left-only"], far=(1.0, 2.0)),
+    right_only_then_continuous,
+    lambda: point_owned(["right-only", "isolated"]),
+    lambda: point_then_line("right-only"),
+    lambda: point_then_line("isolated"),
+]
+
+
 class TestMembership:
     def test_capped_l1_endpoint_ownership(self):
         fn = capped_l1(0.2, 1.0)
@@ -261,17 +337,7 @@ class TestMembership:
         assert fn.piece_index(-1e-300) == 1
         assert fn.piece_index(1e-300) == 3
 
-    @pytest.mark.parametrize("fn_factory", [
-        lambda: capped_l1(0.2, 1.0),
-        lambda: indicator_penalty(2.0, 1.0),
-        lambda: l0_penalty(1.0),
-        lambda: leaky_capped_l1(1.0, 1.0, 0.5),
-        lambda: l1_penalty(0.3),
-        quad_on_segments,
-        lambda: point_owned(["right-only", "left-only"]),
-        lambda: point_owned(["isolated", "left-only"], far=(1.0, 2.0)),
-        right_only_then_continuous,
-    ])
+    @pytest.mark.parametrize("fn_factory", TILING_PENALTIES)
     def test_tiling(self, fn_factory):
         fn = fn_factory()
         assert [e.owner for e in fn.endpoints] == [tag_owner(fn, j) for j in range(fn.n_pieces - 1)]
@@ -376,11 +442,32 @@ class TestSurrogates:
     def test_l0_point_surrogate_third_branch(self):
         fn = l0_penalty(1.0)
         f2 = fn.surrogate(2)
-        assert f2.left_case == "constant-limit"
-        assert f2.right_case == "constant-limit"
+        # the point piece owns both jumps: each wing is the constant far-side limit
+        assert (f2.left_value, f2.left_slope, f2.right_value, f2.right_slope) == (1.0, 0.0, 1.0, 0.0)
         assert not f2.is_convex
         assert f2(0.0) == 0.0
         assert f2(0.7) == 1.0 and f2(-0.7) == 1.0
+
+    @pytest.mark.parametrize("fn_factory", TILING_PENALTIES)
+    def test_wings_follow_the_tags(self, fn_factory):
+        # past each finite edge: the constant far-side limit where the tag
+        # hands the piece a jump, else the piece's own limit and slope
+        fn = fn_factory()
+        for m, (p, sur) in enumerate(zip(fn.pieces, fn.surrogates), 1):
+            assert sur.piece is p
+            sides = []
+            if m > 1:  # record m - 2 closes piece m on the left
+                sides.append((m - 2, (sur.left_value, sur.left_slope),
+                              (p.value_left, p.left_slope), fn.pieces[m - 2].value_right))
+            if m < fn.n_pieces:
+                sides.append((m - 1, (sur.right_value, sur.right_slope),
+                              (p.value_right, p.right_slope), fn.pieces[m].value_left))
+            owned_jumps = 0
+            for j, wing, own, far in sides:
+                jump = fn.endpoints[j].continuity != "continuous" and tag_owner(fn, j) == m
+                assert wing == ((far, 0.0) if jump else own)
+                owned_jumps += jump
+            assert sur.is_convex == (owned_jumps == 0)
 
     def test_agreement_on_source_piece_is_exact(self):
         for fn in (capped_l1(0.2, 1.0), indicator_penalty(2.0, 1.0),

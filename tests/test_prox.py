@@ -119,6 +119,14 @@ class TestOracle:
                 pytest.raises(ProxError, match="non-finite"):
             prox_oracle(lambda v: np.log(np.asarray(v)), 1.0, 0.5, 2.0, 1e-3)
 
+    @pytest.mark.parametrize("halfwidth, resolution", [
+        *((bad, 1e-3) for bad in (0.0, -1.0, math.nan, math.inf)),
+        *((1.0, bad) for bad in (0.0, -1.0, math.nan, math.inf)),
+    ])
+    def test_bad_bracket_rejected(self, halfwidth, resolution):
+        with pytest.raises(ValueError, match="halfwidth and resolution must be finite and positive"):
+            prox_oracle(lambda v: np.abs(v), 0.5, 0.3, halfwidth, resolution)
+
     def test_scalar_search_equals_lockstep_search(self):
         # the oracle's own search must take the samples _section_min takes
         rng = np.random.default_rng(23)
@@ -189,7 +197,7 @@ class TestVector:
         surs = [fn.surrogate(int(m)) for m in assign]
         out = prox_vector(fn.surrogates, assign, s, u)
         for i, sur in enumerate(surs):
-            hw = minimizer_halfwidth(sur.slope_bound(), 0.0, (), s, float(u[i]))
+            hw = minimizer_halfwidth(sur.piece.slope_bound(), 0.0, (), s, float(u[i]))
             ref = prox_oracle(sur, s, float(u[i]), hw, 1e-6)
             assert abs(out[i] - ref) < 1e-5
 
@@ -283,13 +291,13 @@ class TestNumericFallback:
     def test_middle_surrogate_numeric_prox_matches_oracle(self, fn_without_kernels):
         fn, jump, jumps = fn_without_kernels
         f2 = fn.surrogate(2)
-        assert "none" not in (f2.left_case, f2.right_case)
+        assert math.isfinite(f2.piece.left) and math.isfinite(f2.piece.right)
         rng = np.random.default_rng(3)
         for _ in range(60):
             s = rng.uniform(1e-2, 1.0)
             x = rng.uniform(-4, 4)
             out = prox_surrogate(f2, s, float(x))
-            hw = minimizer_halfwidth(f2.slope_bound(), jump, jumps, s, float(x))
+            hw = minimizer_halfwidth(f2.piece.slope_bound(), jump, jumps, s, float(x))
             ref = prox_oracle(f2, s, float(x), hw, 1e-5)
             assert objective(f2, s, x, out) <= objective(f2, s, x, ref) + 1e-8
 
@@ -308,11 +316,21 @@ class TestNumericFallback:
         # the affine wing it moves by s times the wing's slope
         fn = constant_limit_wing()
         f2 = fn.surrogate(2)
-        assert (f2.left_case, f2.right_case) == ("constant-limit", "limit-linear")
+        # the left wing is the constant limit of piece 1, the right one the
+        # piece's own limit and slope
+        assert (f2.left_value, f2.left_slope) == (fn.pieces[0].value_right, 0.0) == (1.0, 0.0)
+        assert (f2.right_value, f2.right_slope) == (f2.piece.value_right, f2.piece.right_slope)
+        assert not f2.is_convex
         s = 0.25
         out = prox_vector(fn.surrogates, [2, 2], s, np.array([-3.0, 5.0]))
         assert out[0] == -3.0
         assert out[1] == 5.0 - s * f2.right_slope
+
+    def test_unbounded_custom_slope_cannot_be_bracketed(self):
+        # a custom shape on the whole line has no slope estimate at +-inf
+        fn = build_piecewise([PieceSpec(-math.inf, math.inf, lambda x: 0.5 * x * x)], [])
+        with pytest.raises(ProxError, match="cannot bracket a minimizer: unbounded slope"):
+            prox_vector(fn.surrogates, [1, 1], 0.5, np.array([0.3, -2.0]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("big", [1e155, 1e200, -1e160])

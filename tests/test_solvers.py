@@ -88,6 +88,11 @@ class TestExtrapolate:
         with pytest.raises(ValueError):
             extrapolate(np.zeros(2), np.zeros(3), np.zeros(2), 1.0, 2.0)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_nonpositive_t_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            extrapolate(np.zeros(2), np.zeros(2), np.zeros(2), 1.0, t)
+
     def test_bits_equal_the_formula_and_inputs_stay(self):
         rng = np.random.default_rng(8)
         t = 1.0
@@ -442,6 +447,18 @@ class TestPpgd:
             with pytest.raises(ValueError, match="step size"):
                 stationarity_residual(prob, np.zeros(1), s)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("solver", [ppgd, apg_monotone, pgd])
+    def test_non_finite_objective_raises(self, solver):
+        # a finite x0 whose F overflows to inf
+        with pytest.raises(SolverError, match="non-finite objective at iteration 0"):
+            solver(one_d_problem(), np.array([1e200]), K=3)
+
+    def test_default_step_without_curvature(self):
+        # an all-zero X has L_g = 0, so the default step is 1
+        prob = Problem(least_squares(Dataset(np.zeros((3, 2)), np.ones(3))), l1_penalty(0.1))
+        assert default_step_size(prob) == 1.0
+
     def test_trace_serialization(self, tmp_path):
         prob = one_d_problem()
         trace = ppgd(prob, np.zeros(1), s=0.5, K=20)
@@ -690,6 +707,11 @@ class TestMixedPenalties:
         trace = ppgd(prob, np.zeros(3), K=100)
         assert np.all(np.diff(trace.objective) <= 1e-12)
 
+    def test_wrong_number_of_penalties_rejected(self):
+        data = Dataset(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="need 3 per-coordinate penalties, got 2"):
+            Problem(least_squares(data), [capped_l1(0.2, 1.0)] * 2)
+
     @pytest.mark.parametrize("bad", [0.3, None, "l1"])
     def test_entry_that_is_not_a_penalty_names_its_coordinate(self, bad):
         data = Dataset(np.zeros((2, 3)), np.zeros(2))
@@ -831,6 +853,23 @@ class TestPiecePlan:
             prob.prox_step(np.array([2, 0, 2]), 0.5, np.zeros(3))
         with pytest.raises(ValueError, match="reshape"):
             prob.prox_step(np.array([2, 2, 2]), 0.5, np.zeros(4))
+
+    @pytest.mark.parametrize("call", [
+        lambda prob, a, v: prob.penalty_value(v),
+        lambda prob, a, v: prob.assignments(v),
+        lambda prob, a, v: prob.surrogate_penalty(a, v),
+        lambda prob, a, v: prob.project(v, np.zeros(4), a),
+        lambda prob, a, v: prob.project(np.zeros(4), v, a),
+        lambda prob, a, v: prob.prox_exact(0.5, v),
+    ], ids=["penalty_value", "assignments", "surrogate_penalty", "project-x", "project-u",
+            "prox_exact"])
+    @pytest.mark.parametrize("n", [3, 5, 1])
+    def test_vector_of_another_length_rejected(self, call, n):
+        # these once dropped the extra coordinates, broadcast a short vector,
+        # or failed inside numpy
+        prob = zero_loss_problem(capped_l1(0.2, 1.0), 4)
+        with pytest.raises(ValueError, match=rf"x has shape \({n},\), expected \(4,\)"):
+            call(prob, np.full(4, 2), np.full(n, 5.0))
 
 
 class TestExactProxValuation:
