@@ -64,7 +64,7 @@ class StepSizeCertificate:
 
     def kappas(self, s: float):
         """(kappa, kappa0, kappa1, kappa2) evaluated at step size s."""
-        if s <= 0:
+        if not s > 0:
             raise ValueError("step size must be positive")
         return _kappas(s, self.L_g, self.G, self.F0, self.C, self.J, self.eps0, self.w0, self.d)
 

@@ -44,15 +44,16 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("synth-classification", "synth-regression", "csv", "idx"))
     ps.add_argument("--n", type=int, default=200)
     ps.add_argument("--d", type=int, default=20)
-    ps.add_argument("--sparsity", type=float, default=0.2)
-    ps.add_argument("--noise", type=float, default=0.0)
-    ps.add_argument("--seed", type=int, default=0)
+    # a data flag left out takes the default of synth or subsample_binary
+    ps.add_argument("--sparsity", type=float, help="fraction of nonzero true coefficients")
+    ps.add_argument("--noise", type=float, help="label noise scale")
+    ps.add_argument("--seed", type=int, help="seed of the synthetic data or IDX subsample")
     ps.add_argument("--csv-path", help="CSV with the label in the last column")
     ps.add_argument("--images", help="IDX images path")
     ps.add_argument("--labels", help="IDX labels path")
     ps.add_argument("--class-a", type=int, help="positive class for IDX subsampling")
     ps.add_argument("--class-b", type=int, help="negative class for IDX subsampling")
-    ps.add_argument("--per-class", type=int, default=5000)
+    ps.add_argument("--per-class", type=int, help="examples per class of an IDX subsample")
     ps.add_argument("--solver", choices=("ppgd", "pgd", "apg"), default="ppgd")
     ps.add_argument("--s", type=float, help="step size (default 1/(2 L_g))")
     ps.add_argument("--w0", type=float, default=0.5, help="NCE acceptance fraction in (0,1]")
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("benchmark", help="run a config-driven experiment",
                         prog="piecewise-prox benchmark")
     pb.add_argument("--config", required=True, help="experiment config JSON path")
-    pb.add_argument("--output-dir", help="override ignored when the config sets output_dir")
+    pb.add_argument("--output-dir", help="output directory, in place of the config's output_dir")
 
     pp = sub.add_parser("prox-check", help="closed-form prox vs grid oracle table",
                         prog="piecewise-prox prox-check")
@@ -101,9 +102,10 @@ def _cmd_solve(args) -> int:
     penalty_params = {name: getattr(args, name)
                       for name in inspect.signature(_BUILTINS[args.penalty]).parameters}
 
-    data = {"kind": args.data, "seed": args.seed}
+    data = {"kind": args.data}
     if args.data.startswith("synth"):
-        data.update(n=args.n, d=args.d, sparsity=args.sparsity, noise=args.noise)
+        data.update(n=args.n, d=args.d, sparsity=args.sparsity, noise=args.noise,
+                    seed=args.seed)
     elif args.data == "csv":
         if not args.csv_path:
             raise _UsageError("--csv-path is required with --data csv")
@@ -114,7 +116,8 @@ def _cmd_solve(args) -> int:
         data.update(images=args.images, labels=args.labels)
         if args.class_a is not None:
             data.update(class_a=args.class_a, class_b=args.class_b,
-                        per_class=args.per_class)
+                        per_class=args.per_class, seed=args.seed)
+    data = {key: value for key, value in data.items() if value is not None}
 
     cfg = ExperimentConfig.from_dict({
         "loss": args.loss,
@@ -122,7 +125,6 @@ def _cmd_solve(args) -> int:
         "data": data,
         "solvers": [{"name": args.solver, "s": args.s, "w0": args.w0, "K": args.iters}],
         "output_dir": args.output_dir,
-        "seed": args.seed,
     })
     problem, x0 = build_problem(cfg)
     trace = _run_one(problem, x0, cfg.solvers[0], stop_tol=args.stop_tol)
@@ -143,20 +145,13 @@ def _cmd_benchmark(args) -> int:
 
     with open(args.config) as fh:
         doc = json.load(fh)
-    override = args.output_dir if isinstance(doc, dict) else None  # from_dict rejects the rest
-    if override and isinstance(doc.get("output_dir"), str) and override != doc["output_dir"]:
-        print(f"warning: --output-dir {override!r} ignored; "
-              f"config output_dir {doc['output_dir']!r} wins", file=sys.stderr)
-    elif override and not doc.get("output_dir"):
-        doc["output_dir"] = override
+    if args.output_dir is not None and isinstance(doc, dict):  # from_dict rejects the rest
+        doc["output_dir"] = args.output_dir
     cfg = ExperimentConfig.from_dict(doc)
     report = run_experiment(cfg)
     for row in report.solvers:
-        slope = row["rate_slope"]
-        slope_txt = "converged" if slope is None else f"{slope:.3f}"
         print(f"{row['solver']}: final F = {row['final_objective']:.9g}, "
-              f"transitions = {row['n_transitions']}, k0 = {row['k0']}, "
-              f"rate slope = {slope_txt}")
+              f"transitions = {row['n_transitions']}, k0 = {row['k0']}")
     print(f"report: {cfg.output_dir}/report.json")
     return 0
 

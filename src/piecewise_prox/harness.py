@@ -11,18 +11,18 @@ Artifact schemas
 Trace CSV: one row per iteration with columns
 ``k, F, F_surrogate_z, n_transitions_so_far, nce_flag, wall_ms`` (row 0 is the
 starting point; ``F_surrogate_z`` is empty there).  Report JSON: a config echo
-plus the rate-fit reference objective and one summary record per solver
-(final objective, transition count, rate slope, residual, wall time).
+plus the reference objective and one ``Trace.summary()`` record per solver.
 Config JSON keys: ``loss``, ``penalty {kind, params}``,
 ``data {kind, ...}``, ``solvers [{name, s, w0, K}]``, ``output_dir``,
-``seed``, ``tail_fraction``, ``record_timing``, ``reference_multiple``.
-Every run starts at zeros.
+``record_timing``, ``reference_multiple``.  Every run starts at zeros.
 The config and each solver entry are JSON objects; ``loss``, ``penalty``,
 ``data``, ``output_dir`` and each solver's ``name`` are required, and the
-penalty params are numbers that its builder takes.
+penalty params are numbers that its builder takes.  The data keys are the
+arguments of ``synth``, ``load_csv`` or ``subsample_binary`` (defaults there),
+and ``images``/``labels`` for ``load_idx``; any other key is an error.
 Solver names must be unique; each ``K`` and ``reference_multiple`` is an
-integer >= 1, ``s`` is null (the default step) or a number, and ``w0`` and
-``tail_fraction`` are numbers in (0, 1].
+integer >= 1, ``s`` is null (the default step) or a number, and ``w0`` is a
+number in (0, 1].
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray,
         fh.write(labels.astype(np.uint8).tobytes())
 
 
-def subsample_binary(data: Dataset, class_a, class_b, per_class: int,
-                     seed: int) -> Dataset:
+def subsample_binary(data: Dataset, class_a, class_b, per_class: int = 5000,
+                     seed: int = 0) -> Dataset:
     """Draw per_class examples of each class and remap labels to +-1.
 
     class_a maps to +1 and class_b to -1; the draw is deterministic under the
@@ -205,15 +205,9 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _is_fraction(v) -> bool:
-    return _is_real(v) and 0.0 < v <= 1.0
-
-
 # the check of each top-level experiment setting
 _SETTINGS = {
     "output_dir": (lambda v: isinstance(v, str), "a path string"),
-    "seed": (lambda v: _is_count(v, least=0), "an integer >= 0"),
-    "tail_fraction": (_is_fraction, "a number in (0, 1]"),
     "record_timing": (lambda v: isinstance(v, bool), "true or false"),
     "reference_multiple": (_is_count, "an integer >= 1"),
 }
@@ -233,7 +227,7 @@ class SolverSpec:
             raise ValueError(f"solver {self.name!r}: K must be an integer >= 1, got {self.K!r}")
         if self.s is not None and not _is_real(self.s):
             raise ValueError(f"solver {self.name!r}: s must be null or a number, got {self.s!r}")
-        if not _is_fraction(self.w0):
+        if not (_is_real(self.w0) and 0.0 < self.w0 <= 1.0):
             raise ValueError(f"solver {self.name!r}: w0 must be a number in (0, 1], "
                              f"got {self.w0!r}")
 
@@ -255,8 +249,6 @@ class ExperimentConfig:
     data: dict
     solvers: tuple
     output_dir: str
-    seed: int = 0
-    tail_fraction: float = 0.5
     record_timing: bool = True
     reference_multiple: int = 5
 
@@ -300,9 +292,11 @@ class ExperimentConfig:
         return doc
 
 
-# the keys each data kind needs, and the check of each key a kind may read
-_DATA_REQUIRED = {"synth-classification": ("n", "d"), "synth-regression": ("n", "d"),
-                  "csv": ("path",), "idx": ("images", "labels")}
+# per data kind, the keys it requires and the keys it may also take, and the
+# check of each key
+_SYNTH_KEYS = (("n", "d"), ("sparsity", "noise", "seed", "coeff_scale", "feature_scale"))
+_DATA_KEYS = {"synth-classification": _SYNTH_KEYS, "synth-regression": _SYNTH_KEYS,
+              "csv": (("path",), ()), "idx": (("images", "labels"), ("class_a",))}
 _DATA_VALUES = {
     **dict.fromkeys(("n", "d", "per_class"), (_is_count, "an integer >= 1")),
     **dict.fromkeys(("sparsity", "noise", "coeff_scale", "feature_scale", "class_a", "class_b"),
@@ -315,32 +309,28 @@ _DATA_VALUES = {
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
     spec = dict(cfg.data)
     kind = spec.pop("kind")
-    required = _DATA_REQUIRED.get(kind, ()) + (("class_b",) if "class_a" in spec else ())
+    if not isinstance(kind, str) or kind not in _DATA_KEYS:
+        raise ValueError(f"unknown data kind {kind!r}")
+    required, optional = _DATA_KEYS[kind]
+    if kind == "idx" and "class_a" in spec:  # a two-class subsample
+        required, optional = required + ("class_b",), optional + ("per_class", "seed")
     for key in required:
         if key not in spec:
             raise ValueError(f"data key {key!r} is required for kind {kind!r}")
-    for key, (check, what) in _DATA_VALUES.items():
-        if key in spec and not check(spec[key]):
+    for key in spec:
+        if key not in required + optional:
+            raise ValueError(f"data key {key!r} is not taken by kind {kind!r}; "
+                             f"it takes {sorted(required + optional)}")
+        check, what = _DATA_VALUES[key]
+        if not check(spec[key]):
             raise ValueError(f"data key {key!r} must be {what}, got {spec[key]!r}")
-    if kind in ("synth-classification", "synth-regression"):
-        data, _ = synth(kind.removeprefix("synth-"),
-                        n=spec["n"], d=spec["d"],
-                        sparsity=spec.get("sparsity", 0.2),
-                        noise=spec.get("noise", 0.0),
-                        seed=spec.get("seed", cfg.seed),
-                        coeff_scale=spec.get("coeff_scale", 3.0),
-                        feature_scale=spec.get("feature_scale", 1.0))
-        return data
     if kind == "csv":
-        return load_csv(spec["path"])
+        return load_csv(**spec)
     if kind == "idx":
-        data = load_idx(spec["images"], spec["labels"])
-        if "class_a" in spec:
-            data = subsample_binary(data, spec["class_a"], spec["class_b"],
-                                    spec.get("per_class", 5000),
-                                    spec.get("seed", cfg.seed))
-        return data
-    raise ValueError(f"unknown data kind {kind!r}")
+        data = load_idx(spec.pop("images"), spec.pop("labels"))
+        return subsample_binary(data, **spec) if spec else data
+    data, _ = synth(kind.removeprefix("synth-"), **spec)
+    return data
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[Problem, np.ndarray]:
@@ -453,8 +443,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     Writes ``trace_<solver>.csv`` per solver plus ``report.json`` under the
     config's output directory.  The solvers run one after another, in config
     order.  The first one runs ``reference_multiple`` x its K iterations: that
-    run supplies the rate-fit reference objective, and its first K iterations
-    are that solver's trace.
+    run supplies the reference objective (the least F of every run), and its
+    first K iterations are that solver's trace.  A report row is a trace's
+    ``summary()``.
     """
     problem, x0 = build_problem(cfg)
     out = Path(cfg.output_dir)
@@ -471,15 +462,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     f_ref = min(min(float(t.objective.min()) for t in traces.values()),
                 float(ref.objective.min()))
 
-    summaries = []
-    for spec in specs:
-        tr = traces[spec.name]
-        slope = fit_rate(tr, cfg.tail_fraction, f_ref)
-        row = tr.summary()
-        row["rate_slope"] = None if math.isinf(slope) else slope
-        summaries.append(row)
-        tr.to_csv(out / f"trace_{spec.name}.csv")
-
-    report = Report(cfg.to_dict(), f_ref, summaries, traces)
+    for name, tr in traces.items():
+        tr.to_csv(out / f"trace_{name}.csv")
+    report = Report(cfg.to_dict(), f_ref, [tr.summary() for tr in traces.values()], traces)
     (out / "report.json").write_text(report.to_json())
     return report

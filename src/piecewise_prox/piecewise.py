@@ -438,7 +438,8 @@ class PiecewiseFn:
 
     def piece_bounds(self, m: int):
         """Closure bounds of piece m (1-based)."""
-        return self.pieces[m - 1].left, self.pieces[m - 1].right
+        piece = self.surrogate(m).piece
+        return piece.left, piece.right
 
     @cached_property
     def _owner_values(self):

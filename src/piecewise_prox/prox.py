@@ -43,6 +43,7 @@ __all__ = [
 # the grid-section sample positions across a bracket, and the most brackets per call
 _GRID, _BLOCK = np.linspace(0.0, 1.0, 17)[:, None], 1 << 10
 _CHUNK = 1 << 14
+_MAX_GRID = 10**8  # the most points of a prox_oracle grid
 
 
 class ProxError(RuntimeError):
@@ -251,9 +252,13 @@ def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
     if not all(math.isfinite(t) and t > 0 for t in (halfwidth, resolution)):
         raise ValueError("halfwidth and resolution must be finite and positive, "
                          f"got {halfwidth!r} and {resolution!r}")
+    span = 2.0 * halfwidth / resolution
+    if span + 1.0 > _MAX_GRID:
+        raise ValueError(f"halfwidth and resolution must give at most {_MAX_GRID:.0e} grid "
+                         f"points, got {halfwidth!r} and {resolution!r} ({span + 1.0:.3g} points)")
     _check_step(s)
     lo, hi = x - halfwidth, x + halfwidth
-    n = int(math.ceil(2.0 * halfwidth / resolution)) + 1
+    n = int(math.ceil(span)) + 1
     step = 2.0 * halfwidth / (n - 1) if n > 1 else 0.0
     half_inv_s = 0.5 / s
     brackets = []

@@ -179,8 +179,7 @@ class Problem:
 
     def prox_step(self, assignment, s: float, v: np.ndarray) -> np.ndarray:
         """Prox of the surrogates of the assigned table entries."""
-        v = np.asarray(v, dtype=float).reshape(self.d)  # a v of another size raises
-        return _prox_entries(self._plan(assignment).entries, s, v)
+        return _prox_entries(self._plan(assignment).entries, s, self.loss._check(v))
 
     def prox_exact(self, s: float, v: np.ndarray):
         """(z, X @ z, F(z), z's piece assignment) for z the exact prox at v, one
@@ -215,6 +214,14 @@ class Problem:
         any other record always accepts.  A crossing with no endpoint between
         w and z raises SolverError, whatever the other crossings decide.
         """
+        z, w = self.loss._check(z), self.loss._check(w)
+        if not 0.0 < w0 <= 1.0:
+            raise ValueError("w0 must lie in (0, 1]")
+        assign_x, assign_z = np.asarray(assign_x), np.asarray(assign_z)
+        for name, a in (("assign_x", assign_x), ("assign_z", assign_z)):
+            if a.shape != (self.d,) or not (a.min() >= 1 and a.max() <= len(self._surrogates)):
+                raise ValueError(f"{name} must hold {self.d} piece numbers in "
+                                 f"1..{len(self._surrogates)}")
         cross = np.flatnonzero(assign_z != assign_x)
         wc, zc, a = w[cross], z[cross], assign_x[cross] - 1
         lo, hi = np.take(self._bounds[:2], a, axis=1)
@@ -242,14 +249,14 @@ class Problem:
 
 def tk_next(t: float) -> float:
     """Momentum weight recurrence t_{k+1} = (sqrt(1 + 4 t_k^2) + 1) / 2."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     return 0.5 * (math.sqrt(1.0 + 4.0 * t * t) + 1.0)
 
 
 def extrapolate(x, x_prev, z, t_prev: float, t: float) -> np.ndarray:
     """u = x + (t_prev/t)(z - x) + ((t_prev - 1)/t)(x - x_prev)."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
@@ -609,6 +616,10 @@ def estimate_G(problem: Problem, x0, trace: Optional[Trace] = None,
     and returns the max gradient norm scaled by ``safety``.  The gradients are
     taken ``_G_CHUNK`` points at a time by ``SmoothLoss._gradients``.
     """
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 0):
+        raise ValueError(f"n_samples must be an integer >= 0, got {n_samples!r}")
+    if not 0.0 < safety < math.inf:
+        raise ValueError(f"safety must be finite and positive, got {safety!r}")
     x0 = np.asarray(x0, dtype=float)
     pts = trace.iterates if trace is not None else x0[None, :]
     lo = pts.min(axis=0)

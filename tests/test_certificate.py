@@ -155,7 +155,7 @@ class TestValidation:
         with pytest.raises(CertificateError, match="d must be at least 1"):
             certify_step_size(L_g=1.0, G=0.1, F0=0.2, d=0)
 
-    @pytest.mark.parametrize("s", [0.0, -0.5])
+    @pytest.mark.parametrize("s", [0.0, -0.5, math.nan])
     def test_kappas_need_a_positive_step(self, s):
         cert = certify_step_size(L_g=1.0, G=0.1, F0=0.2)
         with pytest.raises(ValueError, match="step size must be positive"):

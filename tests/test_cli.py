@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -100,12 +101,15 @@ class TestProxCheck:
         ["--kernel", "soft-threshold", "--s", "1e308"],  # the bracket overflows to inf
         ["--kernel", "identity", "--s", "1e308"],  # inf * 0: a NaN bracket
         ["--kernel", "hard-threshold", "--resolution", "nan"],
-    ], ids=["inf-halfwidth", "nan-halfwidth", "nan-resolution"])
+        ["--kernel", "identity", "--resolution", "1e-300"],  # 4e300 grid points
+    ], ids=["inf-halfwidth", "nan-halfwidth", "nan-resolution", "tiny-resolution"])
     def test_non_finite_oracle_bracket_exits_2(self, argv, capsys):
-        # these once ended in an OverflowError traceback or a NaN-to-int error
+        # these once ended in an OverflowError traceback, a NaN-to-int error,
+        # or ran until killed
         code, out, err = run_cli(["prox-check", *argv, "--n-draws", "2"], capsys)
         assert code == 2
-        assert err.startswith("error: halfwidth and resolution must be finite and positive")
+        assert re.match(r"error: halfwidth and resolution must (be finite and positive"
+                        r"|give at most 1e\+08 grid points)", err)
         assert len(err.strip().splitlines()) == 1
 
 
@@ -202,6 +206,18 @@ class TestSolve:
         assert code == 1
         assert "csv-path" in err
 
+    def test_csv_matches_the_library(self, tmp_path, capsys):
+        # csv takes no seed: --seed must stay out of its data keys
+        data, _ = synth("regression", n=30, d=4, seed=5)
+        path = tmp_path / "data.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in [*row, y]) + "\n"
+                                for row, y in zip(data.features, data.labels)))
+        code, out, err = run_cli(["solve", "--data", "csv", "--csv-path", str(path), "--seed",
+                                  "3", "--iters", "20", "--output-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        trace = ppgd(Problem(least_squares(data), capped_l1(0.2, 1.0)), np.zeros(4), K=20)
+        assert f"final objective: {trace.final_objective:.12g}\n" in out
+
     def test_csv_with_nan_cell_exits_2(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
         path.write_text("1.0,2.0,1.0\nnan,0.5,-1.0\n0.3,0.1,1.0\n")
@@ -209,6 +225,24 @@ class TestSolve:
                                   "--output-dir", str(tmp_path / "out")], capsys)
         assert code == 2
         assert "features must be finite" in err
+
+
+# edits that make the benchmark config malformed
+MALFORMED_CONFIGS = {
+    "list": lambda doc: [doc],
+    "solver-string": lambda doc: {**doc, "solvers": ["ppgd"]},
+    "solver-key": lambda doc: {**doc, "solvers": [{"name": "ppgd", "foo": 1}]},
+    "missing-lam": lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": {"b": 0.5}}},
+    "bogus-param": lambda doc: {**doc, "penalty": {"kind": "capped-l1",
+                                                   "params": {"lam": 0.2, "bogus": 1}}},
+    "string-lam": lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": {"lam": "x"}}},
+    "seed-string": lambda doc: {**doc, "seed": "x"},
+    "seed-float": lambda doc: {**doc, "seed": 1.5},
+    "solvers-number": lambda doc: {**doc, "solvers": 5},
+    "solvers-null": lambda doc: {**doc, "solvers": None},
+    "timing-string": lambda doc: {**doc, "record_timing": "no"},
+    "dir-number": lambda doc: {**doc, "output_dir": 5},
+}
 
 
 class TestBenchmark:
@@ -237,7 +271,8 @@ class TestBenchmark:
         assert names == ["report.json", "trace_apg.csv", "trace_pgd.csv", "trace_ppgd.csv"]
         rows = json.loads((out_dir / "report.json").read_text())["solvers"]
         for row in rows:
-            assert f"{row['solver']}: " in out and f"k0 = {row['k0']}, rate slope = " in out
+            assert (f"{row['solver']}: final F = {row['final_objective']:.9g}, "
+                    f"transitions = {row['n_transitions']}, k0 = {row['k0']}\n") in out
 
     def test_writes_only_inside_output_dir(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "results"
@@ -287,8 +322,8 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("data, key", [
         ({"n": "abc"}, "n"), ({"d": 2.5}, "d"), ({"sparsity": "x"}, "sparsity"),
-        ({"kind": "csv"}, "path"),
-    ], ids=["n-string", "d-float", "sparsity-string", "csv-no-path"])
+        ({"kind": "csv"}, "path"), ({"sparsty": 0.9}, "sparsty"),
+    ], ids=["n-string", "d-float", "sparsity-string", "csv-no-path", "key-misspelt"])
     def test_bad_data_value_exits_2(self, tmp_path, capsys, data, key):
         cfg = self.write_config(tmp_path, tmp_path / "results")
         doc = json.loads(cfg.read_text())
@@ -300,24 +335,11 @@ class TestBenchmark:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: [doc],
-        lambda doc: {**doc, "solvers": ["ppgd"]},
-        lambda doc: {**doc, "solvers": [{"name": "ppgd", "foo": 1}]},
-        lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": {"b": 0.5}}},
-        lambda doc: {**doc, "penalty": {"kind": "capped-l1",
-                                        "params": {"lam": 0.2, "bogus": 1}}},
-        lambda doc: {**doc, "penalty": {"kind": "capped-l1", "params": {"lam": "x"}}},
-        lambda doc: {**doc, "seed": "x"},
-        lambda doc: {**doc, "seed": 1.5},
-        lambda doc: {**doc, "solvers": 5},
-        lambda doc: {**doc, "solvers": None},
-        lambda doc: {**doc, "record_timing": "no"},
-        lambda doc: {**doc, "output_dir": 5},
-    ], ids=["list", "solver-string", "solver-key", "missing-lam", "bogus-param", "string-lam",
-            "seed-string", "seed-float", "solvers-number", "solvers-null", "timing-string",
-            "dir-number"])
-    @pytest.mark.parametrize("override", [False, True], ids=["config-dir", "override-dir"])
+    @pytest.mark.parametrize("override, edit", [
+        pytest.param(override, edit, id=f"{'override' if override else 'config'}-dir-{name}")
+        for override in (False, True) for name, edit in MALFORMED_CONFIGS.items()
+        # --output-dir replaces the config's output_dir, a bad one too
+        if not (override and name == "dir-number")])
     def test_malformed_config_exits_2(self, tmp_path, capsys, edit, override):
         cfg = self.write_config(tmp_path, tmp_path / "results")
         doc = json.loads(cfg.read_text())
@@ -331,16 +353,16 @@ class TestBenchmark:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "results").exists()
 
-    def test_config_wins_on_conflict_with_warning(self, tmp_path, capsys):
+    def test_output_dir_flag_overrides_config(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         cfg = self.write_config(tmp_path, out_dir)
         code, out, err = run_cli(
             ["benchmark", "--config", str(cfg), "--output-dir", str(tmp_path / "elsewhere")],
             capsys)
-        assert code == 0
-        assert "wins" in err
-        assert out_dir.exists()
-        assert not (tmp_path / "elsewhere").exists()
+        assert code == 0 and err == ""
+        assert (tmp_path / "elsewhere" / "report.json").exists()
+        assert not out_dir.exists()
+        assert f"report: {tmp_path / 'elsewhere'}/report.json" in out
 
     def test_trace_csv_schema(self, tmp_path, capsys):
         out_dir = tmp_path / "results"

@@ -231,7 +231,6 @@ def desk_config(tmp_path, record_timing=True, seed=0):
         ],
         "output_dir": str(tmp_path / "out"),
         "record_timing": record_timing,
-        "seed": seed,
     })
 
 
@@ -265,6 +264,15 @@ class TestRunExperiment:
             assert len(trace.restarted) == len(trace.k)
             assert row["restarts"] == int(trace.restarted.sum())
         assert {row["solver"] for row in rows if row["restarts"]} == {"ppgd", "apg"}
+
+    def test_report_rows_are_the_trace_summaries(self, tmp_path):
+        report = run_experiment(desk_config(tmp_path))
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["solvers"] == json.loads(json.dumps(
+            [trace.summary() for trace in report.traces.values()]))
+        assert "rate_slope" not in doc["solvers"][0]
+        assert set(doc["config"]) == {"loss", "penalty", "data", "solvers", "output_dir",
+                                      "record_timing", "reference_multiple"}
 
     def test_single_solver(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
@@ -371,12 +379,6 @@ class TestRunExperiment:
         ("w0", 0, r"w0 must be a number in \(0, 1\]"),
         ("w0", 1.5, r"w0 must be a number in \(0, 1\]"),
         ("w0", True, r"w0 must be a number in \(0, 1\]"),
-        ("tail_fraction", "x", r"tail_fraction must be a number in \(0, 1\]"),
-        ("tail_fraction", 0, r"tail_fraction must be a number in \(0, 1\]"),
-        ("tail_fraction", None, r"tail_fraction must be a number in \(0, 1\]"),
-        ("seed", "x", "seed must be an integer >= 0"),
-        ("seed", 1.5, "seed must be an integer >= 0"),
-        ("seed", -1, "seed must be an integer >= 0"),
         ("output_dir", 5, "output_dir must be a path string"),
         ("record_timing", "no", "record_timing must be true or false"),
     ])
@@ -403,9 +405,11 @@ class TestRunExperiment:
         (lambda doc: {**doc, "solvers": [{"name": "newton"}]}, "unknown solver 'newton'"),
         (lambda doc: {**doc, "solvers": []}, "config needs at least one solver"),
         (lambda doc: {**doc, "x0": "zeros"}, r"unknown config keys: \['x0'\]"),
+        (lambda doc: {**doc, "seed": 3}, r"unknown config keys: \['seed'\]"),
+        (lambda doc: {**doc, "tail_fraction": 0.5}, r"unknown config keys: \['tail_fraction'\]"),
     ], ids=["list", "solver-string", "solver-key", "solver-name", "missing-loss",
             "penalty-string", "params-list", "solvers-number", "solvers-null",
-            "solver-unknown", "solvers-empty", "x0"])
+            "solver-unknown", "solvers-empty", "x0", "seed", "tail_fraction"])
     def test_malformed_config_rejected(self, tmp_path, edit, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(edit(desk_config(tmp_path).to_dict()))
@@ -434,12 +438,25 @@ class TestRunExperiment:
         ({"kind": "idx", "images": "x.idx", "labels": "y.idx", "class_a": 3},
          "data key 'class_b' is required for kind 'idx'"),
         ({"kind": "libsvm"}, "unknown data kind 'libsvm'"),
+        ({"seed": "x"}, "data key 'seed' must be an integer >= 0, got 'x'"),
+        ({"seed": -1}, "data key 'seed' must be an integer >= 0, got -1"),
+        ({"sparsty": 0.9}, "data key 'sparsty' is not taken by kind 'synth-classification'"),
+        ({"path": "x.csv"}, "data key 'path' is not taken by kind 'synth-classification'"),
+        ({"kind": "csv", "path": "x.csv", "seed": 0},
+         "data key 'seed' is not taken by kind 'csv'"),
+        ({"kind": "idx", "images": "x.idx", "labels": "y.idx", "per_class": 2},
+         "data key 'per_class' is not taken by kind 'idx'"),
+        ({"kind": "idx", "images": "x.idx", "labels": "y.idx", "class_b": 7},
+         "data key 'class_b' is not taken by kind 'idx'"),
+        ({"kind": ["csv"]}, "unknown data kind ['csv']"),
     ], ids=["n-string", "d-float", "sparsity-string", "noise-null", "scale-list",
             "seed-float", "csv-no-path", "csv-path-number", "idx-no-labels", "idx-no-class-b",
-            "kind-unknown"])
+            "kind-unknown", "seed-string", "seed-negative", "key-misspelt", "synth-path",
+            "csv-seed", "idx-per-class-alone", "idx-class-b-alone", "kind-list"])
     def test_bad_data_values_rejected(self, tmp_path, data, message):
         doc = desk_config(tmp_path).to_dict()
-        doc["data"] = {**doc["data"], **data}
+        # a spec with a kind replaces the synth one; other keys go into it
+        doc["data"] = data if "kind" in data else {**doc["data"], **data}
         cfg = ExperimentConfig.from_dict(doc)
         with pytest.raises(ValueError, match=re.escape(message)):
             build_problem(cfg)
@@ -475,11 +492,8 @@ class TestRunExperiment:
     def test_numeric_settings_accepted(self, tmp_path):
         doc = desk_config(tmp_path).to_dict()
         doc["solvers"] = [{"name": "ppgd", "s": 1, "w0": 1}, {"name": "pgd", "s": None}]
-        doc["tail_fraction"] = 1
-        doc["seed"] = np.int64(3)  # a numpy integer, as a config built in Python may hold
         cfg = ExperimentConfig.from_dict(doc)
-        assert cfg.solvers[0].s == 1 and cfg.solvers[0].w0 == 1 and cfg.tail_fraction == 1
-        assert cfg.seed == 3
+        assert cfg.solvers[0].s == 1 and cfg.solvers[0].w0 == 1 and cfg.solvers[1].s is None
 
 
 class TestMembershipPasses:

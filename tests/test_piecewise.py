@@ -572,8 +572,11 @@ class TestSurrogates:
 
     def test_index_out_of_range(self):
         fn = capped_l1(0.2, 1.0)
-        with pytest.raises(IndexError):
-            fn.surrogate(4)
+        for m in (4, 0, -1):  # 0 and -1 once read the last pieces
+            with pytest.raises(IndexError, match=f"piece index {m} outside 1..3"):
+                fn.surrogate(m)
+            with pytest.raises(IndexError, match=f"piece index {m} outside 1..3"):
+                fn.piece_bounds(m)
 
     @pytest.mark.parametrize("x, assign, match", [
         ([0.5, 2.0, -3.0], [0, 7, 2], "coordinate 0 has surrogate number 0, outside 1..3"),

@@ -122,9 +122,11 @@ class TestOracle:
     @pytest.mark.parametrize("halfwidth, resolution", [
         *((bad, 1e-3) for bad in (0.0, -1.0, math.nan, math.inf)),
         *((1.0, bad) for bad in (0.0, -1.0, math.nan, math.inf)),
+        (1.0, 1e-300),  # 2e300 grid points: it once ran until killed
     ])
     def test_bad_bracket_rejected(self, halfwidth, resolution):
-        with pytest.raises(ValueError, match="halfwidth and resolution must be finite and positive"):
+        with pytest.raises(ValueError, match=r"halfwidth and resolution must (be finite and "
+                                             r"positive|give at most 1e\+08 grid points)"):
             prox_oracle(lambda v: np.abs(v), 0.5, 0.3, halfwidth, resolution)
 
     def test_scalar_search_equals_lockstep_search(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,8 +66,9 @@ class TestTk:
             t = tk_next(t)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            tk_next(-0.1)
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="t must be nonnegative"):
+                tk_next(t)
 
 
 class TestExtrapolate:
@@ -88,7 +90,7 @@ class TestExtrapolate:
         with pytest.raises(ValueError):
             extrapolate(np.zeros(2), np.zeros(3), np.zeros(2), 1.0, 2.0)
 
-    @pytest.mark.parametrize("t", [0.0, -1.0])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
     def test_nonpositive_t_rejected(self, t):
         with pytest.raises(ValueError, match="t must be positive"):
             extrapolate(np.zeros(2), np.zeros(2), np.zeros(2), 1.0, t)
@@ -189,6 +191,25 @@ class TestNce:
         # (d1 = 0.2 < 0.5 * 0.7 rejects), right-only on the left
         assert nce_flag(fn, [0.0], [0.2], [-0.5], 0.5) is False
         assert nce_flag(fn, [0.0], [-0.2], [0.5], 0.5) is True
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"z": np.full(3, 1.5)}, r"x has shape \(3,\), expected \(4,\)"),
+        ({"w": np.full((2, 2), 0.9)}, r"x has shape \(2, 2\), expected \(4,\)"),
+        ({"w0": 5.0}, r"w0 must lie in \(0, 1\]"),
+        ({"w0": math.nan}, r"w0 must lie in \(0, 1\]"),
+        ({"assign_x": [2]}, r"assign_x must hold 4 piece numbers in 1\.\.3"),
+        ({"assign_x": np.full((2, 2), 2)}, r"assign_x must hold 4 piece numbers in 1\.\.3"),
+        ({"assign_z": [3, 2, 9, 2]}, r"assign_z must hold 4 piece numbers in 1\.\.3"),
+        ({"assign_z": [3, 0, 2, 2]}, r"assign_z must hold 4 piece numbers in 1\.\.3"),
+    ], ids=["z-short", "w-2x2", "w0-above-1", "w0-nan", "assign_x-short", "assign_x-2x2",
+            "assign_z-9", "assign_z-0"])
+    def test_malformed_input_rejected(self, bad, message):
+        # these once decided, raised a bare IndexError, or blamed the pieces
+        prob = Problem(least_squares(Dataset(np.eye(4), np.ones(4))), capped_l1(0.2, 1.0))
+        args = {"z": np.full(4, 1.5), "w": np.full(4, 0.9), "w0": 0.5,
+                "assign_x": [2, 2, 2, 2], "assign_z": [3, 2, 2, 2], **bad}
+        with pytest.raises(ValueError, match=message):
+            prob.nce(**args)
 
     def test_inconsistent_metadata_raises(self):
         with pytest.raises(SolverError, match="no endpoint"):
@@ -619,6 +640,22 @@ class TestResidual:
 
 
 class TestEstimateG:
+    @pytest.mark.parametrize("kw, message", [
+        ({"safety": -1.0}, "safety must be finite and positive"),
+        ({"safety": 0.0}, "safety must be finite and positive"),
+        ({"safety": math.nan}, "safety must be finite and positive"),
+        ({"safety": math.inf}, "safety must be finite and positive"),
+        ({"n_samples": -3}, "n_samples must be an integer >= 0"),
+        ({"n_samples": 2.5}, "n_samples must be an integer >= 0"),
+    ], ids=["safety-negative", "safety-zero", "safety-nan", "safety-inf", "samples-negative",
+            "samples-float"])
+    def test_bad_settings_rejected(self, kw, message):
+        # a negative safety once gave a negative bound, and a negative count
+        # sampled no points
+        prob = Problem(least_squares(Dataset(np.eye(3), np.ones(3))), l1_penalty(0.1))
+        with pytest.raises(ValueError, match=message):
+            estimate_G(prob, np.zeros(3), **kw)
+
     def test_constant_gradient_zero(self):
         prob = Problem(least_squares(Dataset(np.zeros((3, 3)), np.zeros(3))),
                        l1_penalty(0.1))
@@ -851,7 +888,7 @@ class TestPiecePlan:
             prob.project(np.zeros(3), np.zeros(3), np.array([2, 2]))
         with pytest.raises(ValueError, match="coordinate 1 has surrogate number 0"):
             prob.prox_step(np.array([2, 0, 2]), 0.5, np.zeros(3))
-        with pytest.raises(ValueError, match="reshape"):
+        with pytest.raises(ValueError, match=r"x has shape \(4,\), expected \(3,\)"):
             prob.prox_step(np.array([2, 2, 2]), 0.5, np.zeros(4))
 
     @pytest.mark.parametrize("call", [
@@ -861,15 +898,17 @@ class TestPiecePlan:
         lambda prob, a, v: prob.project(v, np.zeros(4), a),
         lambda prob, a, v: prob.project(np.zeros(4), v, a),
         lambda prob, a, v: prob.prox_exact(0.5, v),
+        lambda prob, a, v: prob.prox_step(a, 0.5, v),
     ], ids=["penalty_value", "assignments", "surrogate_penalty", "project-x", "project-u",
-            "prox_exact"])
-    @pytest.mark.parametrize("n", [3, 5, 1])
+            "prox_exact", "prox_step"])
+    @pytest.mark.parametrize("n", [3, 5, 1, pytest.param((2, 2), id="2x2")])
     def test_vector_of_another_length_rejected(self, call, n):
         # these once dropped the extra coordinates, broadcast a short vector,
-        # or failed inside numpy
+        # failed inside numpy, or (prox_step) flattened a 2 x 2 v
         prob = zero_loss_problem(capped_l1(0.2, 1.0), 4)
-        with pytest.raises(ValueError, match=rf"x has shape \({n},\), expected \(4,\)"):
-            call(prob, np.full(4, 2), np.full(n, 5.0))
+        v = np.full(n, 5.0)
+        with pytest.raises(ValueError, match=re.escape(f"x has shape {v.shape}, expected (4,)")):
+            call(prob, np.full(4, 2), v)
 
 
 class TestExactProxValuation:
