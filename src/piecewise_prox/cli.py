@@ -99,6 +99,12 @@ def _cmd_solve(args) -> int:
 
     if args.stop_tol is not None and args.solver != "ppgd":
         raise _UsageError("--stop-tol applies to --solver ppgd only")
+    subsample = {"class_a": args.class_a, "class_b": args.class_b, "per_class": args.per_class}
+    given = ["--" + key.replace("_", "-") for key, value in subsample.items() if value is not None]
+    if given and args.data != "idx":
+        raise _UsageError(f"{given[0]} applies to --data idx only")
+    if given and args.class_a is None:
+        raise _UsageError(f"{given[0]} needs --class-a")
     penalty_params = {name: getattr(args, name)
                       for name in inspect.signature(_BUILTINS[args.penalty]).parameters}
 
@@ -115,8 +121,7 @@ def _cmd_solve(args) -> int:
             raise _UsageError("--images and --labels are required with --data idx")
         data.update(images=args.images, labels=args.labels)
         if args.class_a is not None:
-            data.update(class_a=args.class_a, class_b=args.class_b,
-                        per_class=args.per_class, seed=args.seed)
+            data.update(subsample, seed=args.seed)
     data = {key: value for key, value in data.items() if value is not None}
 
     cfg = ExperimentConfig.from_dict({

@@ -393,12 +393,18 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     while (u - z).(z - x_prev) > 0, x_prev the iterate before z: the step
     moved against the direction u had taken.  A restart resets the whole
     state to the one the loop starts in (x_prev = z = x, t_prev = 0, t = 1),
-    so the next u is x bit for bit and that step is a plain prox-gradient
-    step from x, which passes the objective test at s <= 1/L_g by the
-    descent lemma and cannot fail the gradient test.  The trace's
+    so the next u is x (+0.0 where x holds -0.0) and that step is a plain
+    prox-gradient step from x, which passes the objective test at s <= 1/L_g
+    by the descent lemma and cannot fail the gradient test.  The trace's
     ``restarted`` column marks the rows whose step restarted.  An
     ``nce-reject`` does not restart: from u = x its probe would come back
-    the same, and the run would stall.
+    the same, and the run would stall.  The loop is at rest when the states
+    (F_x, x, px, assign, x_prev, px_prev, z, pz) at the end of iterations
+    k-1 and k hold the same F_x, x, px and assign, each with x_prev = z = x
+    and px_prev = pz = px, bit for bit.  Step k+1 then reads step k's inputs,
+    since ``extrapolate`` returns x whatever t_prev and t are and ``pgd`` has
+    no momentum; so the loop copies row k (``wall_ms`` 0.0, the time spent)
+    up to K or the row where the ``stop_tol`` test stops, and breaks.
 
     Next to each of x, x_prev and z the loop carries its product with the
     feature matrix X (px, px_prev, pz), each a fresh product of its own
@@ -436,6 +442,7 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     # one row per trace line; x is never changed in place, so no row copies it
     rows = [(0, F_x, math.nan, False, "", 0.0, x, False)]
     last_transition = 0
+    end = (F_x, x, px, assign, x_prev, px_prev, z, pz)  # the state the next step reads
 
     for k in range(1, K + 1):
         tic = time.perf_counter()
@@ -466,6 +473,15 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
         if (stop_tol is not None and k - last_transition >= 10
                 and _residual(problem, x, s, px, assign) < stop_tol):
             break
+        state = (F_x, x, px, assign, x_prev, px_prev, z, pz)
+        if k < K and F_x == end[0] and _at_rest(end, state):
+            stop = K  # every later row repeats row k; the stop test reads a constant
+            if (stop_tol is not None and k - last_transition < 10
+                    and _residual(problem, x, s, px, assign) < stop_tol):
+                stop = min(K, last_transition + 10)
+            rows += [(j, *rows[-1][1:5], 0.0, *rows[-1][6:]) for j in range(k + 1, stop + 1)]
+            break
+        end = state
 
     ks, F, F_sz, transitions, outcomes, walls, xs, restarts = zip(*rows)
     return Trace(solver=solver, s=s, w0=w0,
@@ -478,6 +494,15 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
                  iterates=np.stack(xs, axis=0),
                  restarted=np.asarray(restarts, dtype=bool),
                  final_residual=_residual(problem, x, s, px, assign))
+
+
+def _at_rest(before, after) -> bool:
+    """Whether two loop states (see ``_solve``) are at rest, bit for bit."""
+    def same(a, b):  # int64 views: np.array_equal counts -0.0 equal to 0.0
+        return a is b or np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+    return all(map(same, before[:4], after[:4])) and all(
+        all(map(same, st[4:], st[1:3] * 2)) for st in (before, after))
 
 
 def _shifted_product(X: np.ndarray, pu: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -185,14 +185,15 @@ class TestSolve:
         assert code == 1
         assert "--images and --labels are required with --data idx" in err
 
-    @pytest.mark.parametrize("classes", [[], ["--class-a", "3", "--class-b", "7"]],
+    @pytest.mark.parametrize("classes", [[], ["--class-a", "3", "--class-b", "7",
+                                              "--per-class", "6"]],
                              ids=["all-labels", "subsampled"])
     def test_idx_matches_the_library(self, tmp_path, capsys, classes):
         rng = np.random.default_rng(2)
         ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
         write_idx(ip, lp, rng.random((30, 4)), np.repeat([3, 7, 1], 10), 2, 2)
         code, out, err = run_cli(["solve", "--data", "idx", "--images", str(ip), "--labels",
-                                  str(lp), *classes, "--per-class", "6", "--iters", "20",
+                                  str(lp), *classes, "--iters", "20",
                                   "--output-dir", str(tmp_path)], capsys)
         assert code == 0, err
         data = load_idx(ip, lp)
@@ -200,6 +201,21 @@ class TestSolve:
             data = subsample_binary(data, 3, 7, per_class=6, seed=0)
         trace = ppgd(Problem(least_squares(data), capped_l1(0.2, 1.0)), np.zeros(4), K=20)
         assert f"final objective: {trace.final_objective:.12g}\n" in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--data", "idx", "--per-class", "6"], "--per-class needs --class-a"),
+        (["--data", "idx", "--class-b", "7"], "--class-b needs --class-a"),
+        (["--class-a", "3", "--class-b", "7"], "--class-a applies to --data idx only"),
+        (["--data", "csv", "--csv-path", "d.csv", "--per-class", "6"],
+         "--per-class applies to --data idx only"),
+        (["--data", "synth-classification", "--class-b", "7"],
+         "--class-b applies to --data idx only"),
+    ])
+    def test_subsample_flags_misused_exit_1(self, capsys, flags, message):
+        code, out, err = run_cli(["solve", "--images", "i.idx", "--labels", "l.idx", *flags],
+                                 capsys)
+        assert code == 1
+        assert err == f"usage error: {message}\n"
 
     def test_csv_requires_path(self, capsys):
         code, out, err = run_cli(["solve", "--data", "csv"], capsys)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -623,6 +624,70 @@ class TestRestart:
         assert trace.summary()["restarts"] == 0
 
 
+def _assert_same_trace(a, b):
+    """Every Trace field but wall_ms equal bit for bit."""
+    for f in dataclasses.fields(solvers.Trace):
+        if f.name == "wall_ms":
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, (np.ndarray, float)):
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+def _spy_at_rest(monkeypatch):
+    """Wrap the loop's rest test; the list returned collects its answers."""
+    answers, real = [], solvers._at_rest
+
+    def spy(before, after):
+        answers.append(real(before, after))
+        return answers[-1]
+
+    monkeypatch.setattr(solvers, "_at_rest", spy)
+    return answers
+
+
+def _full_loop(monkeypatch, call):
+    """call() with the rest test off, so the loop computes every row."""
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_at_rest", lambda before, after: False)
+        return call()
+
+
+class TestAtRest:
+    """Once the loop state repeats bit for bit, every later row repeats the
+    last one, and the loop fills the rows up to K instead of computing them."""
+
+    def test_fill_equals_the_full_loop(self, monkeypatch):
+        rested = 0
+        for seed, prob in _seeded_problems():
+            for solver in (ppgd, apg_monotone, pgd):
+                answers = _spy_at_rest(monkeypatch)
+                trace = solver(prob, np.zeros(prob.d), K=150)
+                if not any(answers):
+                    continue
+                rested += 1
+                assert trace.wall_ms[-1] == 0.0  # a filled row costs nothing
+                full = _full_loop(monkeypatch, lambda: solver(prob, np.zeros(prob.d), K=150))
+                _assert_same_trace(trace, full)
+        assert rested == 29
+
+    @pytest.mark.parametrize("case", ["met", "missed"])
+    def test_stop_row_equals_the_full_loop(self, monkeypatch, case):
+        if case == "met":  # at rest from row 1 with residual 0 and no transition
+            prob, x0, s, stop = random_ls_problem(0, lam=10.0), np.zeros(12), None, 10
+        else:  # at s = 4 every probe fails the guard: x rests with residual 1.8
+            prob, x0, s, stop = one_d_problem(), np.zeros(1), 4.0, 150
+        answers = _spy_at_rest(monkeypatch)
+        trace = ppgd(prob, x0, s=s, K=150, stop_tol=1e-3)
+        assert answers[-1]
+        full = _full_loop(monkeypatch, lambda: ppgd(prob, x0, s=s, K=150, stop_tol=1e-3))
+        _assert_same_trace(trace, full)
+        assert trace.k[-1] == stop
+
+
 class TestResidual:
     def test_zero_at_minimizer(self):
         prob = one_d_problem()
@@ -967,6 +1032,21 @@ class _CountedMatrix(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+def _products_counter(monkeypatch, prob):
+    """Count the full products with prob's feature matrix: returns a function
+    that runs call() and gives its result and the products it took."""
+    data = prob.loss.data
+    monkeypatch.setattr(_CountedMatrix, "full_size", data.features.size)
+    object.__setattr__(data, "features", data.features.view(_CountedMatrix))
+
+    def run(call):
+        monkeypatch.setattr(_CountedMatrix, "full_products", 0)
+        result = call()
+        return result, _CountedMatrix.full_products
+
+    return run
+
+
 class TestLossProducts:
     def test_products_stay_within_1e_12_of_fresh_ones(self, monkeypatch):
         prob = few_moves_problem()
@@ -1010,6 +1090,28 @@ class TestLossProducts:
         # X @ x0, then X.T @ r and X @ z per iteration, then X.T @ r for the
         # final residual
         assert _CountedMatrix.full_products == 2 * K + 2
+
+    @pytest.mark.parametrize("solver", [ppgd, apg_monotone, pgd])
+    def test_a_run_at_rest_takes_no_more_products(self, monkeypatch, solver):
+        # x0 = 0 is the minimizer and every step returns it, so the loop
+        # comes to rest at once and fills the rows up to K
+        prob = random_ls_problem(0, lam=10.0)
+        run = _products_counter(monkeypatch, prob)
+        _, few = run(lambda: solver(prob, np.zeros(prob.d), K=10))
+        trace, many = run(lambda: solver(prob, np.zeros(prob.d), K=10 ** 4))
+        assert np.array_equal(trace.k, np.arange(10 ** 4 + 1))
+        assert many <= few < 2 * 10 + 2
+
+    def test_a_stalled_run_is_not_cut_short(self, monkeypatch):
+        # test_run_does_not_stall_silently's example: every step is an
+        # nce-reject, whose probe z is not x, so the loop never rests and
+        # each further iteration takes its products
+        prob = Problem(least_squares(Dataset([[1.0]], [3.0])), capped_l1(0.1, 0.5))
+        run = _products_counter(monkeypatch, prob)
+        (short, few), (long, many) = [run(lambda: ppgd(prob, np.array([-3.0]), K=K))
+                                      for K in (50, 500)]
+        assert short.final_x[0] == long.final_x[0] == -3.0
+        assert many - few >= 2 * 450
 
 
 class TestMonotoneSeededSuite:

@@ -3,12 +3,15 @@
 Imports the library of a base tree and of a change tree under two package
 names, builds each workload of bench/workloads.py once per side (row seed
 1, as the benchmark's default run), and times the fixed-K calls of
-``ppgd``, ``apg_monotone`` and ``pgd`` with the workload's K.  Each
-repetition makes every call once on each side, back to back, and the side
-that goes first alternates between repetitions, so both sides see the same
-phases of a noisy machine.  Prints, per workload and call, each side's median
-milliseconds and iterations per second, the change's median gain, and the
-number of repetitions in which the change's call was the faster.
+``ppgd``, ``apg_monotone`` and ``pgd`` with the workload's K, and one
+``run_experiment`` call of the workload's ``experiment_config`` (the
+benchmark's ``experiment_s``), which writes into a temporary directory
+outside both trees.  Each repetition makes every call once on each side,
+back to back, and the side that goes first alternates between repetitions,
+so both sides see the same phases of a noisy machine.  Prints, per workload
+and call, each side's median milliseconds (and iterations per second for a
+solver call), the change's median gain, and the number of repetitions in
+which the change's call was the faster.
 
     python3 tools/ab_calls.py BASE_TREE [CHANGE_TREE] [--reps N] [--workload NAME]
 
@@ -20,9 +23,11 @@ and are only read.  No bytecode is written into either tree.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -58,24 +63,34 @@ def build(pp, wl):
                       wl.build_penalty(pp))
 
 
-def compare(packages, wl, reps: int) -> None:
+def compare(packages, wl, reps: int, out: Path) -> None:
     problems = [build(pp, wl) for pp in packages]
     x0 = np.zeros(wl.d)
-    seconds = {(name, side): [] for name in SOLVERS for side in SIDES}
+    calls = {name: [functools.partial(getattr(pp, function), problem, x0, K=wl.K)
+                    for pp, problem in zip(packages, problems)]
+             for name, function in SOLVERS.items()}
+    calls["experiment"] = [
+        functools.partial(pp.run_experiment,
+                          pp.ExperimentConfig.from_dict(wl.experiment_config(str(out / side))))
+        for pp, side in zip(packages, SIDES)]
+    seconds = {(name, side): [] for name in calls for side in SIDES}
     for rep in range(reps):
         order = (0, 1) if rep % 2 == 0 else (1, 0)
-        for name, function in SOLVERS.items():
+        for name, sides in calls.items():
             for i in order:
-                solver = getattr(packages[i], function)
                 tic = time.perf_counter()
-                solver(problems[i], x0, K=wl.K)
+                sides[i]()
                 seconds[name, SIDES[i]].append(time.perf_counter() - tic)
-    for name in SOLVERS:
+    for name in calls:
         base, change = seconds[name, "base"], seconds[name, "change"]
         mb, mc = statistics.median(base), statistics.median(change)
         wins = sum(c < b for b, c in zip(base, change))
-        print(f"{wl.name:14s} {name:5s} base {1e3 * mb:9.3f} ms {wl.K / mb:8.1f} it/s   "
-              f"change {1e3 * mc:9.3f} ms {wl.K / mc:8.1f} it/s   "
+
+        def rate(m):
+            return f"{wl.K / m:8.1f} it/s" if name in SOLVERS else " " * 13
+
+        print(f"{wl.name:14s} {name:10s} base {1e3 * mb:9.3f} ms {rate(mb)}   "
+              f"change {1e3 * mc:9.3f} ms {rate(mc)}   "
               f"gain {100.0 * (mb / mc - 1.0):+6.1f}%   change won {wins}/{reps}")
 
 
@@ -90,8 +105,9 @@ def main(argv=None) -> int:
         parser.error("--reps must be at least 1")
     packages = [load(args.base.resolve(), "ab_base"), load(args.change.resolve(), "ab_change")]
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    for name in names:
-        compare(packages, WORKLOADS[name], args.reps)
+    with tempfile.TemporaryDirectory(prefix="ab_calls_") as out:
+        for name in names:
+            compare(packages, WORKLOADS[name], args.reps, Path(out))
     return 0
 
 

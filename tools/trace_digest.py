@@ -6,7 +6,10 @@ Runs the traces that must stay bit-identical across a change:
   tests/test_acceptance.py, each solved by ``ppgd``, ``apg_monotone`` and
   ``pgd`` from zero with K = 150;
 * both benchmark workloads of bench/workloads.py at row seeds 1-5: the
-  to-tolerance ``ppgd`` solve and one fixed-K call of each solver.
+  to-tolerance ``ppgd`` solve and one fixed-K call of each solver;
+* each workload's experiment problem, as ``build_problem`` makes it from the
+  workload's ``experiment_config``: one call of each solver with the
+  reference run's length, ``reference_multiple`` x ``experiment_K``.
 
 Each line ends with the digest.  Before it stand the final objective
 (``F=``, its repr), the number of piece transitions and the count of each
@@ -85,6 +88,14 @@ def main() -> None:
             for name, solver in SOLVERS.items():
                 trace = solver(prob, x0, K=wl.K, record_timing=False)
                 print(f"{wl.name} seed={seed} {name} K={wl.K} {describe(trace)}")
+    for wl in WORKLOADS.values():
+        # build_problem reads the config's data and penalty; nothing is written
+        cfg = pp.ExperimentConfig.from_dict(wl.experiment_config("unused"))
+        prob, x0 = pp.build_problem(cfg)
+        K = cfg.reference_multiple * wl.experiment_K
+        for name, solver in SOLVERS.items():
+            trace = solver(prob, x0, K=K, record_timing=False)
+            print(f"{wl.name} experiment {name} K={K} {describe(trace)}")
 
 
 if __name__ == "__main__":
