@@ -1,6 +1,7 @@
 """Command-line interface: solve, benchmark, prox-check, certify.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error.
+Exit codes: 0 success, 1 usage error, 2 runtime error (out of memory too),
+each error with one line on stderr.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--beta", type=float, default=0.1, help="leak slope beyond the cap")
     ps.add_argument("--data", default="synth-regression",
                     choices=("synth-classification", "synth-regression", "csv", "idx"))
-    ps.add_argument("--n", type=int, default=200)
-    ps.add_argument("--d", type=int, default=20)
-    # a data flag left out takes the default of synth or subsample_binary
+    # a data flag left out takes the default of synth (here n, d = 200, 20) or subsample_binary
+    ps.add_argument("--n", type=int, help="examples of synthetic data")
+    ps.add_argument("--d", type=int, help="features of synthetic data")
     ps.add_argument("--sparsity", type=float, help="fraction of nonzero true coefficients")
     ps.add_argument("--noise", type=float, help="label noise scale")
     ps.add_argument("--seed", type=int, help="seed of the synthetic data or IDX subsample")
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--per-class", type=int, help="examples per class of an IDX subsample")
     ps.add_argument("--solver", choices=("ppgd", "pgd", "apg"), default="ppgd")
     ps.add_argument("--s", type=float, help="step size (default 1/(2 L_g))")
-    ps.add_argument("--w0", type=float, default=0.5, help="NCE acceptance fraction in (0,1]")
+    ps.add_argument("--w0", type=float, help="NCE acceptance fraction in (0,1] (ppgd only)")
     ps.add_argument("--iters", type=int, default=200, help="iteration count K")
     ps.add_argument("--stop-tol", type=float, help="early-stop residual tolerance (ppgd only)")
     ps.add_argument("--output-dir", default=".", help="where the trace CSV is written")
@@ -95,39 +96,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    from .harness import ExperimentConfig, _run_one, build_problem
+    from .harness import _DATA_KEYS, ExperimentConfig, _data_keys, _run_one, build_problem
 
     if args.stop_tol is not None and args.solver != "ppgd":
         raise _UsageError("--stop-tol applies to --solver ppgd only")
-    subsample = {"class_a": args.class_a, "class_b": args.class_b, "per_class": args.per_class}
-    given = ["--" + key.replace("_", "-") for key, value in subsample.items() if value is not None]
-    if given and args.data != "idx":
-        raise _UsageError(f"{given[0]} applies to --data idx only")
-    if given and args.class_a is None:
-        raise _UsageError(f"{given[0]} needs --class-a")
     penalty_params = {name: getattr(args, name)
                       for name in inspect.signature(_BUILTINS[args.penalty]).parameters}
 
-    data = {"kind": args.data}
+    # the data keys the flags give, the subsample's first, so that a misplaced
+    # subsample flag is the one an error names
+    flags = {"class_a": args.class_a, "class_b": args.class_b, "per_class": args.per_class,
+             "seed": args.seed, "n": args.n, "d": args.d, "sparsity": args.sparsity,
+             "noise": args.noise, "path": args.csv_path, "images": args.images,
+             "labels": args.labels}
+    data = {key: value for key, value in flags.items() if value is not None}
+    required, optional = _data_keys(args.data, "class_a" in data)
+    for key in data:
+        if key not in required + optional:
+            flag = "--csv-path" if key == "path" else "--" + key.replace("_", "-")
+            kinds = [kind for kind in _DATA_KEYS if key in sum(_data_keys(kind, True), ())]
+            if args.data in kinds:
+                raise _UsageError(f"{flag} needs --class-a")
+            raise _UsageError(f"{flag} applies to --data {' or '.join(kinds)} only")
+    if args.data == "csv" and not args.csv_path:
+        raise _UsageError("--csv-path is required with --data csv")
+    if args.data == "idx" and not (args.images and args.labels):
+        raise _UsageError("--images and --labels are required with --data idx")
     if args.data.startswith("synth"):
-        data.update(n=args.n, d=args.d, sparsity=args.sparsity, noise=args.noise,
-                    seed=args.seed)
-    elif args.data == "csv":
-        if not args.csv_path:
-            raise _UsageError("--csv-path is required with --data csv")
-        data["path"] = args.csv_path
-    else:
-        if not (args.images and args.labels):
-            raise _UsageError("--images and --labels are required with --data idx")
-        data.update(images=args.images, labels=args.labels)
-        if args.class_a is not None:
-            data.update(subsample, seed=args.seed)
-    data = {key: value for key, value in data.items() if value is not None}
+        data = {"n": 200, "d": 20, **data}
 
     cfg = ExperimentConfig.from_dict({
         "loss": args.loss,
         "penalty": {"kind": args.penalty, "params": penalty_params},
-        "data": data,
+        "data": {"kind": args.data, **data},
         "solvers": [{"name": args.solver, "s": args.s, "w0": args.w0, "K": args.iters}],
         "output_dir": args.output_dir,
     })
@@ -240,8 +241,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, KeyError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

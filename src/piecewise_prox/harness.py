@@ -21,8 +21,9 @@ penalty params are numbers that its builder takes.  The data keys are the
 arguments of ``synth``, ``load_csv`` or ``subsample_binary`` (defaults there),
 and ``images``/``labels`` for ``load_idx``; any other key is an error.
 Solver names must be unique; each ``K`` and ``reference_multiple`` is an
-integer >= 1, ``s`` is null (the default step) or a number, and ``w0`` is a
-number in (0, 1].
+integer >= 1, ``s`` is null (the default step) or a number, and ``w0`` is
+null (ppgd's default) or, for ``ppgd`` only, a number in (0, 1].  ``solve``
+exits 1 on a data flag that its kind does not take (``_data_keys``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .solvers import Problem, Trace, apg_monotone, pgd, ppgd, stationarity_resid
 __all__ = [
     "IdxFormatError",
     "load_idx",
-    "write_idx",
     "subsample_binary",
     "load_csv",
     "synth",
@@ -105,23 +105,6 @@ def load_idx(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(img, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8)
     return Dataset(pixels.astype(float) / 255.0, labels.astype(float))
-
-
-def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray,
-              rows: int, cols: int) -> None:
-    """Inverse of load_idx for fixtures: images in [0, 1], shape (n, rows*cols)."""
-    images = np.asarray(images)
-    labels = np.asarray(labels)
-    n = images.shape[0]
-    if images.shape != (n, rows * cols):
-        raise ValueError("images shape does not match rows * cols")
-    pix = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", _IMAGES_MAGIC, n, rows, cols))
-        fh.write(pix.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", _LABELS_MAGIC, n))
-        fh.write(labels.astype(np.uint8).tobytes())
 
 
 def subsample_binary(data: Dataset, class_a, class_b, per_class: int = 5000,
@@ -217,7 +200,7 @@ _SETTINGS = {
 class SolverSpec:
     name: str
     s: Optional[float] = None
-    w0: float = 0.5
+    w0: Optional[float] = None  # ppgd only; None takes ppgd's own default
     K: int = 100
 
     def __post_init__(self):
@@ -227,7 +210,9 @@ class SolverSpec:
             raise ValueError(f"solver {self.name!r}: K must be an integer >= 1, got {self.K!r}")
         if self.s is not None and not _is_real(self.s):
             raise ValueError(f"solver {self.name!r}: s must be null or a number, got {self.s!r}")
-        if not (_is_real(self.w0) and 0.0 < self.w0 <= 1.0):
+        if self.w0 is not None and self.name != "ppgd":
+            raise ValueError(f"solver {self.name!r}: w0 applies to ppgd only, got {self.w0!r}")
+        if self.w0 is not None and not (_is_real(self.w0) and 0.0 < self.w0 <= 1.0):
             raise ValueError(f"solver {self.name!r}: w0 must be a number in (0, 1], "
                              f"got {self.w0!r}")
 
@@ -306,14 +291,21 @@ _DATA_VALUES = {
 }
 
 
+def _data_keys(kind: str, subsample: bool) -> tuple:
+    """(required, optional) data keys of a kind; ``subsample`` adds the keys
+    of an idx kind's two-class subsample, which ``class_a`` asks for."""
+    required, optional = _DATA_KEYS[kind]
+    if kind == "idx" and subsample:
+        required, optional = required + ("class_b",), optional + ("per_class", "seed")
+    return required, optional
+
+
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
     spec = dict(cfg.data)
     kind = spec.pop("kind")
     if not isinstance(kind, str) or kind not in _DATA_KEYS:
         raise ValueError(f"unknown data kind {kind!r}")
-    required, optional = _DATA_KEYS[kind]
-    if kind == "idx" and "class_a" in spec:  # a two-class subsample
-        required, optional = required + ("class_b",), optional + ("per_class", "seed")
+    required, optional = _data_keys(kind, "class_a" in spec)
     for key in required:
         if key not in spec:
             raise ValueError(f"data key {key!r} is required for kind {kind!r}")
@@ -408,12 +400,13 @@ def fit_rate(trace, tail_fraction: float, f_ref: float) -> float:
 
 def _run_one(problem: Problem, x0: np.ndarray, spec: SolverSpec,
              record_timing: bool = True, stop_tol: Optional[float] = None) -> Trace:
-    """One call of the spec's solver; ``stop_tol`` applies to ``ppgd`` only."""
-    fn = _SOLVERS[spec.name]
+    """One call of the spec's solver; ``stop_tol`` applies to ``ppgd`` only,
+    as a set ``w0`` does."""
+    kw = {"w0": spec.w0} if spec.w0 is not None else {}
     if spec.name == "ppgd":
-        return fn(problem, x0, s=spec.s, w0=spec.w0, K=spec.K, stop_tol=stop_tol,
-                  record_timing=record_timing)
-    return fn(problem, x0, s=spec.s, K=spec.K, record_timing=record_timing)
+        kw["stop_tol"] = stop_tol
+    return _SOLVERS[spec.name](problem, x0, s=spec.s, K=spec.K,
+                               record_timing=record_timing, **kw)
 
 
 def _prefix(problem: Problem, trace: Trace, K: int) -> Trace:

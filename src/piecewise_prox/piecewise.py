@@ -432,15 +432,6 @@ class PiecewiseFn:
 
     # -- structural metadata -------------------------------------------------
 
-    def structural_constants(self):
-        """(C, J, F0, R0, s0) with +inf sentinels where no term applies."""
-        return (self.C, self.J, self.F0, self.R0, self.s0)
-
-    def piece_bounds(self, m: int):
-        """Closure bounds of piece m (1-based)."""
-        piece = self.surrogate(m).piece
-        return piece.left, piece.right
-
     @cached_property
     def _owner_values(self):
         """(q, f(q), owner, unowned): the breakpoint values ascending, the

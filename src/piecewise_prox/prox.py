@@ -6,11 +6,11 @@ candidate is the point itself on a single-point piece, the shape's closed-form
 on the closure.  A convex surrogate (no constant wing) takes a wing's own
 minimizer where it lies strictly beyond that wing's edge; a nonconvex one keeps
 the best of the closure candidate and each wing minimizer that lies on its
-wing.  ``prox_surrogate`` applies it at one point, ``prox_vector`` to each
-coordinate by its entry in a table of surrogates, one array call per entry
-present.  ``prox_true`` is the exact prox of the full penalty: each piece's
-closure candidate and every breakpoint, each valued once by the piece that
-produced it, so the winner's value and piece come with it
+wing.  ``prox_surrogate`` applies it at one point, ``_prox_entries`` to each
+entry of a surrogate table on its coordinates, one array call per entry, as
+``Problem.prox_step`` does.  ``prox_true`` is the exact prox of the full
+penalty: each piece's closure candidate and every breakpoint, each valued once
+by the piece that produced it, so the winner's value and piece come with it
 (``_prox_true_valued``).  Ties go to the library rule (``_pick_rows``).  Every
 grid-section search runs on all of its brackets at once (``_section_min``):
 each round samples a fixed 17-point grid across every bracket and keeps the
@@ -29,13 +29,12 @@ from typing import Callable
 
 import numpy as np
 
-from .piecewise import CustomShape, PiecewiseFn, SurrogateFn, _entries
+from .piecewise import CustomShape, PiecewiseFn, SurrogateFn
 
 __all__ = [
     "ProxError",
     "prox_surrogate",
     "prox_oracle",
-    "prox_vector",
     "prox_true",
     "minimizer_halfwidth",
 ]
@@ -311,22 +310,6 @@ def _section_scalar(psi: Callable, lo: float, hi: float, tol: float, iters: int 
         if not tol < b - a < width:
             break
     return best_v, best_f
-
-
-def prox_vector(surrogates, assignment, s: float, u: np.ndarray) -> np.ndarray:
-    """Coordinatewise prox over a table of surrogates.
-
-    Coordinate i of u takes the prox of ``surrogates[assignment[i] - 1]``,
-    so ``fn.surrogates`` with piece indices serves one penalty.  Each entry
-    present gets one array call of ``_surrogate_prox`` on its coordinates.
-    Only a NaN objective raises ProxError, naming the first such coordinate:
-    a NaN u on a custom shape, or a NaN among the candidates a nonconvex
-    surrogate values.  A number outside 1..len(surrogates) raises ValueError,
-    naming the first coordinate that has one, and so does a step s that is
-    not finite and positive (``_check_step``, as every prox entry point).
-    """
-    u = np.asarray(u, dtype=float)
-    return _prox_entries(_entries(surrogates, np.asarray(assignment), u.shape), s, u)
 
 
 def _prox_entries(entries, s: float, u: np.ndarray) -> np.ndarray:

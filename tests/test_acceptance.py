@@ -183,7 +183,7 @@ def test_criterion_3_kappa_decrease_on_transitions():
     loss = least_squares(data)
     penalty = capped_l1(0.2, 1.0)
     prob = Problem(loss, penalty)
-    C, J, F0, R0, s0 = penalty.structural_constants()
+    C, J, F0, R0, s0 = penalty.C, penalty.J, penalty.F0, penalty.R0, penalty.s0
     L_g = loss.lipschitz_bound()
 
     # Sound constants: level set of F at x0=0 is contained in [0, 4]; inflated

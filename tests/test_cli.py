@@ -7,11 +7,13 @@ import pytest
 
 import numpy as np
 
-from piecewise_prox import (Problem, capped_l1, default_step_size, indicator_penalty,
-                            l0_penalty, l1_penalty, least_squares, leaky_capped_l1, load_idx,
-                            ppgd, subsample_binary, synth, write_idx,
+from piecewise_prox import (Problem, apg_monotone, capped_l1, default_step_size, harness,
+                            indicator_penalty, l0_penalty, l1_penalty, least_squares,
+                            leaky_capped_l1, load_idx, pgd, ppgd, subsample_binary, synth,
                             zero_penalty)
 from piecewise_prox.cli import build_parser, main
+
+from helpers import write_idx
 
 DATA = Path(__file__).parent / "data"
 
@@ -217,19 +219,76 @@ class TestSolve:
         assert code == 1
         assert err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--images", "i.idx"], "--images applies to --data idx only"),
+        (["--data", "csv", "--csv-path", "d.csv", "--labels", "l.idx"],
+         "--labels applies to --data idx only"),
+        (["--data", "idx", "--images", "i.idx", "--labels", "l.idx", "--n", "5"],
+         "--n applies to --data synth-classification or synth-regression only"),
+        (["--data", "csv", "--csv-path", "d.csv", "--d", "5"],
+         "--d applies to --data synth-classification or synth-regression only"),
+        (["--data", "idx", "--images", "i.idx", "--labels", "l.idx", "--sparsity", "0.5"],
+         "--sparsity applies to --data synth-classification or synth-regression only"),
+        (["--data", "csv", "--csv-path", "d.csv", "--noise", "0.1"],
+         "--noise applies to --data synth-classification or synth-regression only"),
+        (["--data", "synth-classification", "--csv-path", "d.csv"],
+         "--csv-path applies to --data csv only"),
+        (["--data", "idx", "--images", "i.idx", "--labels", "l.idx", "--csv-path", "d.csv"],
+         "--csv-path applies to --data csv only"),
+        (["--data", "csv", "--csv-path", "d.csv", "--seed", "3"],
+         "--seed applies to --data synth-classification or synth-regression or idx only"),
+        (["--data", "idx", "--images", "i.idx", "--labels", "l.idx", "--seed", "3"],
+         "--seed needs --class-a"),
+    ], ids=["images-synth", "labels-csv", "n-idx", "d-csv", "sparsity-idx", "noise-csv",
+            "csv-path-synth", "csv-path-idx", "seed-csv", "seed-idx-whole"])
+    def test_data_flags_misused_exit_1(self, tmp_path, capsys, flags, message):
+        # each flag once went unread, and the run went on without it
+        code, out, err = run_cli(["solve", *flags, "--output-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err == f"usage error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("solver, run", [("apg", apg_monotone), ("pgd", pgd)])
+    def test_w0_applies_to_ppgd_only(self, tmp_path, capsys, solver, run):
+        code, out, err = run_cli(["solve", "--solver", solver, "--iters", "5",
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        data, _ = synth("regression", n=200, d=20)  # the default synthetic size
+        trace = run(Problem(least_squares(data), capped_l1(0.2, 1.0)), np.zeros(20), K=5)
+        assert f"final objective: {trace.final_objective:.12g}\n" in out
+        code, out, err = run_cli(["solve", "--solver", solver, "--w0", "0.3", "--iters", "5",
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err == f"error: solver '{solver}': w0 applies to ppgd only, got 0.3\n"
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"),
+         "error: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, exc, line):
+        # raised in place of a real allocation, which an overcommitting
+        # machine may grant and then kill the process for
+        def synth_out_of_memory(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(harness, "synth", synth_out_of_memory)
+        code, out, err = run_cli(["solve", "--n", "20", "--d", "3",
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err == line
+
     def test_csv_requires_path(self, capsys):
         code, out, err = run_cli(["solve", "--data", "csv"], capsys)
         assert code == 1
         assert "csv-path" in err
 
     def test_csv_matches_the_library(self, tmp_path, capsys):
-        # csv takes no seed: --seed must stay out of its data keys
         data, _ = synth("regression", n=30, d=4, seed=5)
         path = tmp_path / "data.csv"
         path.write_text("".join(",".join(repr(float(v)) for v in [*row, y]) + "\n"
                                 for row, y in zip(data.features, data.labels)))
-        code, out, err = run_cli(["solve", "--data", "csv", "--csv-path", str(path), "--seed",
-                                  "3", "--iters", "20", "--output-dir", str(tmp_path)], capsys)
+        code, out, err = run_cli(["solve", "--data", "csv", "--csv-path", str(path),
+                                  "--iters", "20", "--output-dir", str(tmp_path)], capsys)
         assert code == 0, err
         trace = ppgd(Problem(least_squares(data), capped_l1(0.2, 1.0)), np.zeros(4), K=20)
         assert f"final objective: {trace.final_objective:.12g}\n" in out

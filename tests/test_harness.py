@@ -29,8 +29,9 @@ from piecewise_prox import (
     run_experiment,
     subsample_binary,
     synth,
-    write_idx,
 )
+
+from helpers import write_idx
 
 
 @pytest.fixture
@@ -104,11 +105,6 @@ class TestIdx:
         write_idx(ip, lp, np.zeros((0, 4)), np.zeros(0), 2, 2)
         with pytest.raises(IdxFormatError, match="empty IDX payload"):
             load_idx(ip, lp)
-
-    def test_write_checks_the_image_shape(self, tmp_path):
-        with pytest.raises(ValueError, match="images shape does not match rows \\* cols"):
-            write_idx(tmp_path / "i.idx", tmp_path / "l.idx", np.zeros((2, 10)),
-                      np.zeros(2), 3, 3)
 
     def test_header_fuzz_every_single_byte_corruption_rejected(self, idx_pair, tmp_path):
         ip, lp, _, _ = idx_pair
@@ -488,6 +484,23 @@ class TestRunExperiment:
         got = harness._load_dataset(ExperimentConfig.from_dict(doc))
         assert got.features.tobytes() == want.features.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
+
+    @pytest.mark.parametrize("name", ["apg", "pgd"])
+    def test_w0_applies_to_ppgd_only(self, tmp_path, name):
+        doc = desk_config(tmp_path).to_dict()
+        doc["solvers"] = [{"name": name, "w0": 0.5}]
+        with pytest.raises(ValueError, match=f"solver '{name}': w0 applies to ppgd only"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_unset_w0_is_null_and_takes_the_ppgd_default(self, tmp_path):
+        cfg = desk_config(tmp_path)
+        assert [spec.w0 for spec in cfg.solvers] == [None, None, None]
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert json.loads(json.dumps(cfg.to_dict()))["solvers"][1]["w0"] is None
+        problem, x0 = build_problem(cfg)
+        for w0, want in [(None, 0.5), (0.3, 0.3)]:
+            spec = dataclasses.replace(cfg.solvers[0], w0=w0, K=3)
+            assert harness._run_one(problem, x0, spec).w0 == want
 
     def test_numeric_settings_accepted(self, tmp_path):
         doc = desk_config(tmp_path).to_dict()

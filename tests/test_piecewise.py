@@ -18,13 +18,14 @@ from piecewise_prox import (
     l0_penalty,
     l1_penalty,
     leaky_capped_l1,
-    prox_vector,
     zero_penalty,
 )
 
 
 from piecewise_prox import Affine, Endpoint
 from piecewise_prox.piecewise import builtin_penalty
+
+from helpers import prox_vector
 
 
 def quad_on_segments():
@@ -43,7 +44,7 @@ def quad_on_segments():
 class TestBuild:
     def test_capped_l1_constants(self):
         fn = capped_l1(0.2, 1.0)
-        C, J, F0, R0, s0 = fn.structural_constants()
+        C, J, F0, R0, s0 = fn.C, fn.J, fn.F0, fn.R0, fn.s0
         assert fn.n_pieces == 3
         # slope drop at +-b is lam - 0 on each side
         assert C == pytest.approx(0.2)
@@ -54,15 +55,31 @@ class TestBuild:
 
     def test_single_quadratic_piece(self):
         fn = build_piecewise([PieceSpec(-math.inf, math.inf, Quadratic(1.0, 0.0, 0.0))], [])
-        C, J, F0, R0, s0 = fn.structural_constants()
+        C, J, F0, R0, s0 = fn.C, fn.J, fn.F0, fn.R0, fn.s0
         assert fn.n_pieces == 1
         assert math.isinf(R0)
         assert not fn.endpoints
         assert math.isinf(F0)  # unbounded slope tolerated only when M = 1
 
+    def test_affine_quadratic_slope_at_infinity(self):
+        # a = 0: the quadratic is the line x, whose slope at -inf is b = 1
+        fn = build_piecewise([PieceSpec(-math.inf, 0.0, Quadratic(0.0, 1.0, 0.0)),
+                              PieceSpec(0.0, math.inf, Constant(0.0))], ["continuous"])
+        assert (fn.pieces[0].left_slope, fn.pieces[0].right_slope) == (1.0, 1.0)
+        assert (fn.C, fn.J, fn.F0, fn.R0, fn.s0) == (1.0, math.inf, 1.0, math.inf, math.inf)
+        assert fn.evaluate([-2.0, 0.0, 3.0]).tolist() == [-2.0, 0.0, 0.0]
+
+    def test_piece_beyond_the_probe_grid(self):
+        # piece 2 lies wholly beyond 1e6, where the convexity probe takes no grid
+        fn = build_piecewise([PieceSpec(-math.inf, 2e6, ScaledAbs(1.0)),
+                              PieceSpec(2e6, math.inf, Constant(2e6))], ["continuous"])
+        assert [(p.left, p.right) for p in fn.pieces] == [(-math.inf, 2e6), (2e6, math.inf)]
+        assert (fn.C, fn.J, fn.F0, fn.R0, fn.s0) == (1.0, math.inf, 1.0, math.inf, 2e6)
+        assert fn.evaluate([-5.0, 2e6, 3e6]).tolist() == [5.0, 2e6, 2e6]
+
     def test_l0_constants(self):
         fn = l0_penalty(1.0)
-        C, J, F0, R0, s0 = fn.structural_constants()
+        C, J, F0, R0, s0 = fn.C, fn.J, fn.F0, fn.R0, fn.s0
         assert math.isinf(C)
         assert J == pytest.approx(1.0)  # both one-sided jumps at the isolated origin
         assert F0 == 0.0
@@ -70,7 +87,7 @@ class TestBuild:
 
     def test_indicator_constants(self):
         fn = indicator_penalty(2.0, 1.0)
-        C, J, F0, R0, s0 = fn.structural_constants()
+        C, J, F0, R0, s0 = fn.C, fn.J, fn.F0, fn.R0, fn.s0
         assert math.isinf(C)
         assert J == pytest.approx(2.0)
         assert math.isinf(R0)
@@ -473,15 +490,14 @@ class TestSurrogates:
         for fn in (capped_l1(0.2, 1.0), indicator_penalty(2.0, 1.0),
                    leaky_capped_l1(1.0, 1.0, 0.5), quad_on_segments()):
             for m in range(1, fn.n_pieces + 1):
-                lo, hi = fn.piece_bounds(m)
-                lo = max(lo, -20.0)
-                hi = min(hi, 20.0)
+                fm = fn.surrogate(m)
+                lo = max(fm.piece.left, -20.0)
+                hi = min(fm.piece.right, 20.0)
                 if hi < lo:
                     continue
                 grid = np.linspace(lo, hi, 1000) if hi > lo else np.array([lo])
                 idx = fn.piece_index(grid)
                 on_piece = grid[idx == m]
-                fm = fn.surrogate(m)
                 assert np.array_equal(fm(on_piece), fn.evaluate(on_piece))
 
     def test_linearity_outside_source_piece(self):
@@ -564,7 +580,7 @@ class TestSurrogates:
         owner = fn.piece_index(q)
         assert at.tolist() == owner.tolist()
         for m, (edges, values, owners) in enumerate(unowned, start=1):
-            lo, hi = fn.piece_bounds(m)
+            lo, hi = fn.surrogate(m).piece.left, fn.surrogate(m).piece.right
             expect = [j for j, v in enumerate(q) if v in (lo, hi) and owner[j] != m]
             assert edges.tobytes() == q[expect].tobytes()
             assert values.tobytes() == fq[expect].tobytes()
@@ -575,8 +591,6 @@ class TestSurrogates:
         for m in (4, 0, -1):  # 0 and -1 once read the last pieces
             with pytest.raises(IndexError, match=f"piece index {m} outside 1..3"):
                 fn.surrogate(m)
-            with pytest.raises(IndexError, match=f"piece index {m} outside 1..3"):
-                fn.piece_bounds(m)
 
     @pytest.mark.parametrize("x, assign, match", [
         ([0.5, 2.0, -3.0], [0, 7, 2], "coordinate 0 has surrogate number 0, outside 1..3"),

@@ -23,7 +23,6 @@ from piecewise_prox import (
     prox_oracle,
     prox_surrogate,
     prox_true,
-    prox_vector,
     zero_penalty,
 )
 from piecewise_prox.piecewise import Affine, Constant, ScaledAbs
@@ -35,6 +34,8 @@ from piecewise_prox.prox import (
     _section_min,
     _section_scalar,
 )
+
+from helpers import prox_vector
 
 
 def objective(f, s, x, v):
@@ -642,7 +643,7 @@ class TestClosedFormWithWings:
     ], ids=["quadratic-with-wings", "constant-jump-and-linear-wing", "scaled-abs-owning-jumps"])
     def test_bytes_equal_the_clipped_formula(self, make, lo, hi, formula):
         fn = make()
-        closure = fn.piece_bounds(2)
+        closure = fn.surrogate(2).piece.left, fn.surrogate(2).piece.right
         u = np.concatenate([np.random.default_rng(53).uniform(lo, hi, 200), [0.0, -0.0]])
         for s in (0.125, 0.37, 0.5):
             expect = np.clip(formula(u, s), *closure)

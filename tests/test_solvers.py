@@ -301,7 +301,7 @@ def _scalar_nce_flag(fn, z, w, w0, assign_x, assign_z):
     flag = False
     for i in np.flatnonzero(assign_z != assign_x):
         m, w_i, z_i = int(assign_x[i]), float(w[i]), float(z[i])
-        lo, hi = fn.piece_bounds(m)
+        lo, hi = fn.surrogate(m).piece.left, fn.surrogate(m).piece.right
         seg_lo, seg_hi = min(w_i, z_i), max(w_i, z_i)
         cands = [q for q in (lo, hi) if math.isfinite(q) and seg_lo <= q <= seg_hi]
         if not cands:
