@@ -11,11 +11,15 @@ entry of a surrogate table on its coordinates, one array call per entry, as
 ``Problem.prox_step`` does.  ``prox_true`` is the exact prox of the full
 penalty: each piece's closure candidate and every breakpoint, each valued once
 by the piece that produced it, so the winner's value and piece come with it
-(``_prox_true_valued``).  Ties go to the library rule (``_pick_rows``).  Every
-grid-section search runs on all of its brackets at once (``_section_min``):
-each round samples a fixed 17-point grid across every bracket and keeps the
-two cells around the least sample, until the bracket is at most 1e-12 wide; a
-closure search takes at most 1024 brackets per call.
+(``_prox_true_valued``).  Ties go to the library rule (``_pick_rows``), which
+finds each column's first least row of a wide table from one weighted sum
+over the rows.  Every grid-section search runs on all of its brackets at once
+(``_section_min``): each round samples a fixed 17-point grid across every
+bracket and keeps the two cells around the least sample, until the bracket is
+at most 1e-12 wide; a closure search takes at most 1024 brackets per call.  A
+closure search starts from a 2^-28 wide bracket around a Newton estimate
+where psi certifies it holds the minimizer, else from the whole sound reach
+(``_narrow_start``); either way it fixes the minimizer up to psi's rounding.
 ``prox_oracle`` is an independent ground-truth used by tests: a dense grid
 argmin refined by one grid-section pass per local basin, with its own scalar
 search (``_section_scalar``).  The two routes are kept separate so each can
@@ -41,6 +45,10 @@ __all__ = [
 
 # the grid-section sample positions across a bracket, and the most brackets per call
 _GRID, _BLOCK = np.linspace(0.0, 1.0, 17)[:, None], 1 << 10
+# the half width of a closure search's narrow start: 4 grid rounds to 1e-12
+_NARROW = 2.0 ** -29
+# _first_rows's weight of each row of a table, and the fewest columns it weighs
+_ROW_WEIGHTS, _WIDE = 2.0 ** np.arange(52, -1, -1), 256
 _CHUNK = 1 << 14
 _MAX_GRID = 10**8  # the most points of a prox_oracle grid
 
@@ -91,51 +99,77 @@ def _section_min(psi: Callable, lo, hi, tol: float = 1e-12, iters: int = 200):
     arrays among each bracket's samples, (lo, inf) where none is below inf.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    cols, last = np.arange(a.size), _GRID.size - 1
+    k, last = a.size, _GRID.size - 1
+    cols = np.arange(k)
+    top = cols + last * k  # sample j of bracket c is flat index j * k + c
     live = np.ones(a.shape, dtype=bool)
     best_v, best_f = a.copy(), np.full(a.shape, np.inf)
     for _ in range(iters):
-        v = a + (b - a) * _GRID
+        width = b - a
+        v = width * _GRID
+        v += a
         v[last] = b
         fv = psi(v)
-        i = fv.argmin(axis=0)
-        better = live & (fv[i, cols] < best_f)
-        np.copyto(best_v, v[i, cols], where=better)
-        np.copyto(best_f, fv[i, cols], where=better)
-        width = b - a
-        np.copyto(a, v[np.maximum(i - 1, 0), cols], where=live)
-        np.copyto(b, v[np.minimum(i + 1, last), cols], where=live)
-        live &= (b - a > tol) & (b - a < width)
+        at = fv.argmin(axis=0) * k + cols
+        f_at = fv.take(at)
+        better = f_at < best_f
+        better &= live
+        np.copyto(best_v, v.take(at), where=better)
+        np.copyto(best_f, f_at, where=better)
+        np.copyto(a, v.take(np.maximum(at - k, cols)), where=live)
+        np.copyto(b, v.take(np.minimum(at + k, top)), where=live)
+        narrowed = b - a
+        live &= (narrowed > tol) & (narrowed < width)
         if not live.any():
             break
     return best_v, best_f
 
 
-def _pick_rows(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _first_rows(ok: np.ndarray):
+    """Per column of a boolean table with a True in every column, the first
+    True row, and whether another row is True (None: not told).
+    ``argmax(axis=0)`` makes an inner call per column, so a table of
+    ``_WIDE`` columns or more and at most 53 rows weighs row r by 2^(52 - r)
+    instead: a column's sum over its True rows is exact, the first in its
+    exponent and any other in its mantissa."""
+    if ok.shape[1] < _WIDE or len(ok) > _ROW_WEIGHTS.size:
+        return ok.argmax(axis=0), None
+    mantissa, exponent = np.frexp(_ROW_WEIGHTS[:len(ok)] @ ok)
+    return np.subtract(_ROW_WEIGHTS.size, exponent, dtype=np.intp), mantissa != 0.5
+
+
+def _pick_rows(cands: np.ndarray, psi: np.ndarray, least=None) -> np.ndarray:
     """Per column, the candidate row of least psi under the library tie rule.
 
-    Among the rows that reach the column's least psi it keeps the smaller |v|,
-    then the smaller v, then the earlier row, which is what folding
-    ``min(a, b, key=lambda v: (abs(v), v))`` over those rows in order returns
-    (0.0 and -0.0 tie, so the earlier wins).  The keys run only on columns
-    where those rows hold unequal values.  psi must not contain NaN.
+    Among the rows that reach the column's least psi (``least``, when the
+    caller has it) it keeps the smaller |v|, then the smaller v, then the
+    earlier row, which is what folding ``min(a, b, key=lambda v: (abs(v), v))``
+    over those rows in order returns (0.0 and -0.0 tie, so the earlier wins).
+    The keys run only on columns where those rows hold unequal values.  psi
+    must not contain NaN.
     """
-    ok = psi == psi.min(axis=0)
-    rows = ok.argmax(axis=0)
-    tied = np.flatnonzero((ok & (cands != cands[rows, np.arange(rows.size)])).any(axis=0))
-    if tied.size:
-        c, ok = cands[:, tied], ok[:, tied]
-        mag = np.where(ok, np.abs(c), np.inf)
-        ok &= mag == mag.min(axis=0)
-        val = np.where(ok, c, np.inf)
-        ok &= val == val.min(axis=0)
-        rows[tied] = ok.argmax(axis=0)
+    ok = psi == (psi.min(axis=0) if least is None else least)
+    rows, several = _first_rows(ok)
+    if several is None or several.any():
+        tied = np.flatnonzero((ok & (cands != cands.take(_flat(rows)))).any(axis=0))
+        if tied.size:
+            c, ok = cands.take(tied, axis=1), ok.take(tied, axis=1)  # row-major, as min needs
+            mag = np.where(ok, np.abs(c), np.inf)
+            ok &= mag == mag.min(axis=0)
+            val = np.where(ok, c, np.inf)
+            ok &= val == val.min(axis=0)
+            rows[tied] = _first_rows(ok)[0]
     return rows
 
 
-def _pick_columns(cands: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _flat(rows: np.ndarray) -> np.ndarray:
+    """Flat indices into a row-major table of the given row of each column."""
+    return rows * rows.size + np.arange(rows.size)
+
+
+def _pick_columns(cands: np.ndarray, psi: np.ndarray, least=None) -> np.ndarray:
     """Per column, the candidate ``_pick_rows`` picks."""
-    return cands[_pick_rows(cands, psi), np.arange(cands.shape[1])]
+    return cands.take(_flat(_pick_rows(cands, psi, least)))
 
 
 def _check_nan(bad: np.ndarray, coords) -> None:
@@ -146,9 +180,11 @@ def _check_nan(bad: np.ndarray, coords) -> None:
 
 
 def _pick_checked(cands: np.ndarray, psi: np.ndarray, coords) -> np.ndarray:
-    """``_pick_columns``, but a NaN psi raises ProxError naming its column's coords."""
-    _check_nan(np.isnan(psi).any(axis=0), coords)
-    return _pick_columns(cands, psi)
+    """``_pick_columns``, but a NaN psi raises ProxError naming its column's
+    coords: a column's least psi is NaN just where it holds one."""
+    least = psi.min(axis=0)
+    _check_nan(np.isnan(least), coords)
+    return _pick_columns(cands, psi, least)
 
 
 def _pick(candidates):
@@ -221,9 +257,12 @@ def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: floa
                   coords) -> np.ndarray:
     """Minimizer at each u of (1/2s)(v - u)^2 + sur(v) over the closure
     [lo, hi], where sur is its convex piece's shape: a grid-section search on
-    the closure cut to the reach u +- hw, against the finite edges, or the
-    nearer edge where the reach misses the closure.  A NaN u raises
-    ProxError naming its coordinate."""
+    the closure cut to the reach u +- hw, or on the narrow bracket that
+    ``_narrow_start`` certifies inside it, or the nearer edge where the reach
+    misses the closure.  The search fixes the minimizer up to psi's rounding:
+    where psi differs from its least value by a few ulps, the least sample
+    among such points wins.  A NaN u raises ProxError naming its
+    coordinate."""
     _check_nan(np.isnan(u), coords)
     if u.size > _BLOCK:  # blocks of coordinates bound the search's 17 x k temporaries
         return np.concatenate([_closure_prox(sur, s, u[i:i + _BLOCK], lo, hi,
@@ -233,10 +272,31 @@ def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: floa
     a, b = np.maximum(lo, u - hw), np.minimum(hi, u + hw)
     edge, miss = np.where(u < lo, lo, hi), a > b
     psi = _objective(sur.piece.shape, s, u)
-    v, fv = _section_min(psi, np.where(miss, edge, a), np.where(miss, edge, b))
-    ends = [np.full_like(u, end) for end in (lo, hi) if math.isfinite(end)]
-    best = _pick_columns(np.stack([v, *ends]), np.stack([fv, *map(psi, ends)]))
-    return np.where(miss, edge, best)
+    v, _ = _section_min(psi, *_narrow_start(psi, np.where(miss, edge, a),
+                                            np.where(miss, edge, b)))
+    return np.where(miss, edge, v)
+
+
+def _narrow_start(psi: Callable, a: np.ndarray, b: np.ndarray):
+    """Per sound bracket [a, b], [c - h, c + h] cut to it, c the Newton
+    estimate from a 3-point stencil of psi at its middle and h ``_NARROW``.
+    psi is (1/s)-strongly convex on [a, b], so where psi(c) is no worse than
+    at each end that is strictly apart from c and not an end of [a, b], the
+    minimizer lies inside; elsewhere (a kink, an edge, a NaN) [a, b] stays.
+    psi sees only points of [a, b]."""
+    width = b - a
+    f_lo, f_mid, f_hi = psi(a + width * _GRID[7:10])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = width / 32.0 * (f_hi - f_lo) / (f_hi - 2.0 * f_mid + f_lo)
+        # c on the lattice of h / 8, the first round's grid step, so that the
+        # rounds sample dyadic points, 0 among them where the bracket holds it
+        c = np.rint((0.5 * (a + b) - step) * (8.0 / _NARROW)) * (_NARROW / 8.0)
+    c = np.fmin(np.fmax(c, a), b)  # fmax takes a for a NaN
+    a1, b1 = np.maximum(a, c - _NARROW), np.minimum(b, c + _NARROW)
+    f_a, f_c, f_b = psi(np.stack([a1, c, b1]))
+    keep = (((a1 == a) | ((a1 < c) & (f_c <= f_a)))
+            & ((b1 == b) | ((c < b1) & (f_c <= f_b))))
+    return np.where(keep, a1, a), np.where(keep, b1, b)
 
 
 def prox_oracle(f: Callable, s: float, x: float, halfwidth: float,
@@ -352,9 +412,14 @@ def _prox_true_valued(fn: PiecewiseFn, s: float, u: np.ndarray):
         v = _closure_candidate(fn.surrogate(m), s, u, coords)
         cands[m - 1], values[m - 1], pieces[m - 1] = v, p.shape(v), m
         for e, fe, owner in zip(edges, edge_values, owners):
-            np.copyto(values[m - 1], fe, where=v == e)
-            np.copyto(pieces[m - 1], owner, where=v == e)
-    psi = (cands - u) ** 2 / (2.0 * s) + values
-    _check_nan(np.isnan(psi).any(axis=0), coords)
-    rows = _pick_rows(cands, psi)
-    return cands[rows, coords], values[rows, coords], pieces[rows, coords]
+            at_edge = v == e
+            np.copyto(values[m - 1], fe, where=at_edge)
+            np.copyto(pieces[m - 1], owner, where=at_edge)
+    psi = cands - u  # (cands - u) ** 2 / (2s) + values, in one buffer
+    np.square(psi, out=psi)
+    psi /= 2.0 * s
+    psi += values
+    least = psi.min(axis=0)
+    _check_nan(np.isnan(least), coords)
+    flat = _flat(_pick_rows(cands, psi, least))
+    return cands.take(flat), values.take(flat), pieces.take(flat)

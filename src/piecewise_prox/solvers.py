@@ -412,7 +412,10 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     x_prev and z, so ``extrapolate`` gives pu = X @ u from their products, and
     an iteration takes two passes over X, ``X.T @ r`` for a gradient and
     ``X @ z`` for the probe's value (three in a ``ppgd`` step that takes
-    ``X @ w`` afresh, see ``_shifted_product``).  The residuals reuse px.
+    ``X @ w`` afresh, see ``_shifted_product``).  A zero x0 takes no pass:
+    px starts as zeros, which are the bits of X @ 0 since X is finite.  The
+    residuals reuse px, and the final residual is the stop test's when that
+    ran at the last row, as at a stop.
 
     Per iteration ``step(x, px, u, pu, assign, F_x, s)`` returns
     ``(z, pz, F_probe, outcome, accepted)``: the probe z that feeds the next
@@ -434,7 +437,7 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
 
-    px = problem.loss.data.features @ x
+    px = problem.loss.data.features @ x if x.any() else np.zeros(problem.loss.data.n)
     x_prev, px_prev, z, pz, t_prev, t = x, px, x, px, 0.0, 1.0
     assign = problem._plan(problem.assignments(x)).assign
     F_x = problem.loss.value(x, px) + problem.surrogate_penalty(assign, x)
@@ -443,9 +446,11 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     rows = [(0, F_x, math.nan, False, "", 0.0, x, False)]
     last_transition = 0
     end = (F_x, x, px, assign, x_prev, px_prev, z, pz)  # the state the next step reads
+    residual = None  # the stop test's residual at the latest iteration's x, if it ran
 
     for k in range(1, K + 1):
         tic = time.perf_counter()
+        residual = None
         u, pu = x, px
         if momentum:
             u = extrapolate(x, x_prev, z, t_prev, t)
@@ -470,15 +475,17 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
         wall = (time.perf_counter() - tic) * 1e3 if record_timing else 0.0
         rows.append((k, F_x, F_probe, transition, outcome, wall, x, restart))
 
-        if (stop_tol is not None and k - last_transition >= 10
-                and _residual(problem, x, s, px, assign) < stop_tol):
-            break
+        if stop_tol is not None and k - last_transition >= 10:
+            residual = _residual(problem, x, s, px, assign)
+            if residual < stop_tol:
+                break
         state = (F_x, x, px, assign, x_prev, px_prev, z, pz)
         if k < K and F_x == end[0] and _at_rest(end, state):
             stop = K  # every later row repeats row k; the stop test reads a constant
-            if (stop_tol is not None and k - last_transition < 10
-                    and _residual(problem, x, s, px, assign) < stop_tol):
-                stop = min(K, last_transition + 10)
+            if stop_tol is not None and residual is None:
+                residual = _residual(problem, x, s, px, assign)
+                if residual < stop_tol:
+                    stop = min(K, last_transition + 10)
             rows += [(j, *rows[-1][1:5], 0.0, *rows[-1][6:]) for j in range(k + 1, stop + 1)]
             break
         end = state
@@ -493,7 +500,8 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
                  wall_ms=np.asarray(walls, dtype=float),
                  iterates=np.stack(xs, axis=0),
                  restarted=np.asarray(restarts, dtype=bool),
-                 final_residual=_residual(problem, x, s, px, assign))
+                 final_residual=_residual(problem, x, s, px, assign) if residual is None
+                 else residual)
 
 
 def _at_rest(before, after) -> bool:

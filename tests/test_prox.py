@@ -394,6 +394,46 @@ class TestNumericFallback:
             assert vi.tobytes() == v[i:i + 1].tobytes()
             assert fi.tobytes() == fv[i:i + 1].tobytes()
 
+    def test_bench_shape_takes_a_narrow_start(self):
+        # the benchmark's shape at its step: one stencil call, one check
+        # call, then 4 grid rounds from the certified 2^-28 wide bracket
+        # (the search from the full reach took 11 rounds and 2 end values)
+        seen = []
+        sur = capped_pseudo_huber(seen=seen).surrogate(2)
+        s = 0.014553677719437256
+        u = np.random.default_rng(29).uniform(-0.45, 0.45, size=10)
+        seen.clear()
+        v = _closure_candidate(sur, s, u, np.arange(u.size))
+        assert [x.shape for x in seen] == [(3, 10)] * 2 + [(17, 10)] * 4
+        for i in range(u.size):
+            ref = prox_oracle(sur.piece.shape, s, float(u[i]), 0.01, 1e-6)
+            assert objective(sur.piece.shape, s, u[i], v[i]) <= \
+                objective(sur.piece.shape, s, u[i], ref) + 1e-15
+
+    def test_kinked_shape_falls_back_to_the_full_reach(self):
+        # 0.5 v^2 + 0.4 |v - 0.3| on [-1, 1]: for u in [0.25, 0.65] the
+        # minimizer is the kink 0.3, where the stencil's estimate fails its
+        # check, so the search runs on the whole reach and still finds it
+        seen = []
+
+        def shape(v):
+            seen.append(np.array(v, dtype=float))
+            return 0.5 * v * v + 0.4 * np.abs(v - 0.3)
+
+        fn = build_piecewise([PieceSpec(-math.inf, -1.0, Constant(1.02)),
+                              PieceSpec(-1.0, 1.0, shape),
+                              PieceSpec(1.0, math.inf, Constant(0.78))],
+                             ["continuous", "continuous"])
+        sur, s = fn.surrogate(2), 0.5
+        for x in np.linspace(0.26, 0.64, 7):
+            seen.clear()
+            out = prox_surrogate(sur, s, float(x))
+            assert len(seen) > 6  # more rounds than the certified start takes
+            assert np.abs(np.concatenate([v.ravel() for v in seen])).max() <= 1.0
+            ref = prox_oracle(sur, s, float(x), 2.0, 1e-5)
+            assert abs(out - 0.3) < 1e-9
+            assert objective(sur, s, x, out) <= objective(sur, s, x, ref) + 1e-12
+
     def test_closure_search_takes_blocks(self):
         # 2500 coordinates go through in blocks of 1024: the shape never sees
         # more than 17 x 1024 points at once, and each coordinate, at the block
@@ -716,17 +756,22 @@ class TestTieRule:
         assert np.array_equal(_pick_columns(cands, psi), [-1.0, 3.0])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 7).flatmap(lambda rows: st.integers(1, 6).flatmap(
-        lambda cols: st.tuples(
-            st.lists(st.lists(st.sampled_from(TIE_VALUES), min_size=cols, max_size=cols),
-                     min_size=rows, max_size=rows),
-            st.lists(st.lists(st.sampled_from(TIE_PSI), min_size=cols, max_size=cols),
-                     min_size=rows, max_size=rows)))))
-    def test_columns_equal_sequential_fold(self, matrices):
-        cands, psi = (np.array(m, dtype=float) for m in matrices)
-        got = _pick_columns(cands, psi)
+    @given(st.integers(1, 7) | st.sampled_from([53, 54, 60]),
+           st.integers(1, 6) | st.sampled_from([300, 2000]), st.integers(0, 2 ** 32 - 1))
+    def test_columns_equal_sequential_fold(self, rows, cols, seed):
+        # tables from one column to thousands, and from one row past the 53
+        # that the row weights hold exactly; per column the least psi 0.0 is
+        # rare, common or nearly everywhere, so that tall columns hold ties
+        # more than 53 rows apart and runs of more than 53 tied rows
+        rng = np.random.default_rng(seed)
+        cands = rng.choice(TIE_VALUES, size=(rows, cols))
+        share = rng.choice([0.03, 1 / 3, 0.97], size=cols)
+        psi = np.where(rng.random((rows, cols)) < share, 0.0,
+                       rng.choice(TIE_PSI[1:], size=(rows, cols)))
+        expect = tie_break_fold(cands, psi)
         # bytes, so that 0.0 and -0.0 differ
-        assert got.tobytes() == tie_break_fold(cands, psi).tobytes()
+        assert _pick_columns(cands, psi).tobytes() == expect.tobytes()
+        assert _pick_checked(cands, psi, np.arange(cols)).tobytes() == expect.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(TIE_VALUES), st.sampled_from(TIE_PSI)),

@@ -1076,20 +1076,52 @@ class TestLossProducts:
         assert len(errors) == 3 * (1 + 2 * 60 + 1)
         assert max(errors) <= 0.0
 
-    @pytest.mark.parametrize("solver", [ppgd, apg_monotone, pgd])
-    def test_two_full_products_per_iteration(self, monkeypatch, solver):
+    @staticmethod
+    def _fixed_k_products(monkeypatch, solver, x0_last):
+        """Full products of a K = 60 call on few_moves_problem from zero but
+        for x0's last (l1) coordinate."""
         prob = few_moves_problem()
-        data = prob.loss.data
-        monkeypatch.setattr(_CountedMatrix, "full_size", data.features.size)
-        monkeypatch.setattr(_CountedMatrix, "full_products", 0)
-        object.__setattr__(data, "features", data.features.view(_CountedMatrix))
-        K = 60
-        trace = solver(prob, np.zeros(prob.d), K=K)
+        run = _products_counter(monkeypatch, prob)
+        x0 = np.zeros(prob.d)
+        x0[-1] = x0_last
+        trace, products = run(lambda: solver(prob, x0, K=60))
         if solver is ppgd:
             assert trace.n_transitions[-1] > 0
-        # X @ x0, then X.T @ r and X @ z per iteration, then X.T @ r for the
-        # final residual
-        assert _CountedMatrix.full_products == 2 * K + 2
+        return products
+
+    @pytest.mark.parametrize("solver", [ppgd, apg_monotone, pgd])
+    def test_two_full_products_per_iteration(self, monkeypatch, solver):
+        # X.T @ r and X @ z per iteration, then X.T @ r for the final
+        # residual; a zero x0 takes no X @ x0
+        assert self._fixed_k_products(monkeypatch, solver, 0.0) == 2 * 60 + 1
+
+    @pytest.mark.parametrize("solver", [ppgd, apg_monotone, pgd])
+    def test_a_nonzero_start_takes_its_product(self, monkeypatch, solver):
+        assert self._fixed_k_products(monkeypatch, solver, 0.01) == 2 * 60 + 2
+
+    def test_zero_start_has_the_product_bits(self):
+        # X is finite, so X @ 0 is +0.0 in every row, for either zero sign:
+        # the zeros the loop takes instead are the same bytes
+        problems = [prob for _, prob in _seeded_problems()] + [few_moves_problem()]
+        for prob in problems:
+            X = prob.loss.data.features
+            for zero in (np.zeros(prob.d), -np.zeros(prob.d)):
+                assert (X @ zero).tobytes() == np.zeros(X.shape[0]).tobytes()
+
+    def test_a_stopping_run_reuses_its_stop_test_residual(self, monkeypatch):
+        # the stop test's residual at the stop is the final residual, so the
+        # run takes no gradient pass after it: X.T @ r per stop test and the
+        # two products per iteration, nothing for a zero x0 or at the end
+        prob = few_moves_problem()
+        run = _products_counter(monkeypatch, prob)
+        trace, products = run(lambda: ppgd(prob, np.zeros(prob.d), K=2000, stop_tol=1e-3))
+        k = int(trace.k[-1])
+        assert k < 2000 and trace.final_residual < 1e-3
+        last = np.maximum.accumulate(np.where(trace.transitions, trace.k, 0))
+        tests = int(np.count_nonzero(trace.k[1:] - last[1:] >= 10))
+        assert tests > 0
+        assert products == 2 * k + tests
+        assert trace.final_residual == solvers.stationarity_residual(prob, trace.final_x, trace.s)
 
     @pytest.mark.parametrize("solver", [ppgd, apg_monotone, pgd])
     def test_a_run_at_rest_takes_no_more_products(self, monkeypatch, solver):

@@ -3,10 +3,14 @@
 Imports the library of a base tree and of a change tree under two package
 names, builds each workload of bench/workloads.py once per side (row seed
 1, as the benchmark's default run), and times the fixed-K calls of
-``ppgd``, ``apg_monotone`` and ``pgd`` with the workload's K, and one
+``ppgd``, ``apg_monotone`` and ``pgd`` with the workload's K, one
 ``run_experiment`` call of the workload's ``experiment_config`` (the
 benchmark's ``experiment_s``), which writes into a temporary directory
-outside both trees.  Each repetition makes every call once on each side,
+outside both trees, and the prox layer at one fixed iterate:
+``Problem.prox_exact`` and ``Problem.prox_step`` (on the iterate's own
+pieces) at v = x - s grad g(x), x the end of the change's fixed-K ``ppgd``
+call and s the default step, ``PROX_CALLS`` calls per timing, reported per
+call.  Each repetition makes every call once on each side,
 back to back, and the side that goes first alternates between repetitions,
 so both sides see the same phases of a noisy machine.  Prints, per workload
 and call, each side's median milliseconds (and iterations per second for a
@@ -41,6 +45,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 SOLVERS = {"ppgd": "ppgd", "apg": "apg_monotone", "pgd": "pgd"}
 SIDES = ("base", "change")
+PROX_CALLS = 20
 
 
 def load(tree: Path, name: str):
@@ -63,6 +68,11 @@ def build(pp, wl):
                       wl.build_penalty(pp))
 
 
+def _repeat(method, *args) -> None:
+    for _ in range(PROX_CALLS):
+        method(*args)
+
+
 def compare(packages, wl, reps: int, out: Path) -> None:
     problems = [build(pp, wl) for pp in packages]
     x0 = np.zeros(wl.d)
@@ -73,6 +83,14 @@ def compare(packages, wl, reps: int, out: Path) -> None:
         functools.partial(pp.run_experiment,
                           pp.ExperimentConfig.from_dict(wl.experiment_config(str(out / side))))
         for pp, side in zip(packages, SIDES)]
+    x = packages[1].ppgd(problems[1], x0, K=wl.K, record_timing=False).final_x
+    s = packages[1].default_step_size(problems[1])
+    v = x - s * problems[1].loss.gradient(x)
+    assign = problems[1].assignments(x)
+    calls["prox_exact"] = [functools.partial(_repeat, problem.prox_exact, s, v)
+                           for problem in problems]
+    calls["prox_step"] = [functools.partial(_repeat, problem.prox_step, assign, s, v)
+                          for problem in problems]
     seconds = {(name, side): [] for name in calls for side in SIDES}
     for rep in range(reps):
         order = (0, 1) if rep % 2 == 0 else (1, 0)
@@ -83,7 +101,8 @@ def compare(packages, wl, reps: int, out: Path) -> None:
                 seconds[name, SIDES[i]].append(time.perf_counter() - tic)
     for name in calls:
         base, change = seconds[name, "base"], seconds[name, "change"]
-        mb, mc = statistics.median(base), statistics.median(change)
+        per = PROX_CALLS if name.startswith("prox_") else 1
+        mb, mc = statistics.median(base) / per, statistics.median(change) / per
         wins = sum(c < b for b, c in zip(base, change))
 
         def rate(m):
