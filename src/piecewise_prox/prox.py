@@ -12,14 +12,16 @@ entry of a surrogate table on its coordinates, one array call per entry, as
 penalty: each piece's closure candidate and every breakpoint, each valued once
 by the piece that produced it, so the winner's value and piece come with it
 (``_prox_true_valued``).  Ties go to the library rule (``_pick_rows``), which
-finds each column's first least row of a wide table from one weighted sum
-over the rows.  Every grid-section search runs on all of its brackets at once
+finds each column's first least row from one weighted sum over the rows.
+Every grid-section search runs on all of its brackets at once
 (``_section_min``): each round samples a fixed 17-point grid across every
 bracket and keeps the two cells around the least sample, until the bracket is
 at most 1e-12 wide; a closure search takes at most 1024 brackets per call.  A
-closure search starts from a 2^-28 wide bracket around a Newton estimate
-where psi certifies it holds the minimizer, else from the whole sound reach
-(``_narrow_start``); either way it fixes the minimizer up to psi's rounding.
+closure search starts from a narrow bracket around a Newton estimate where
+psi certifies it holds the minimizer, else from the whole sound reach
+(``_narrow_start``).  The narrow bracket is 2^-28 wide, or wider where psi's
+rounding is larger than such a bracket can tell apart.  Either way the search
+fixes the minimizer up to psi's rounding.
 ``prox_oracle`` is an independent ground-truth used by tests: a dense grid
 argmin refined by one grid-section pass per local basin, with its own scalar
 search (``_section_scalar``).  The two routes are kept separate so each can
@@ -45,10 +47,11 @@ __all__ = [
 
 # the grid-section sample positions across a bracket, and the most brackets per call
 _GRID, _BLOCK = np.linspace(0.0, 1.0, 17)[:, None], 1 << 10
-# the half width of a closure search's narrow start: 4 grid rounds to 1e-12
-_NARROW = 2.0 ** -29
-# _first_rows's weight of each row of a table, and the fewest columns it weighs
-_ROW_WEIGHTS, _WIDE = 2.0 ** np.arange(52, -1, -1), 256
+# the least half width of a closure search's narrow start (4 grid rounds to
+# 1e-12), and the machine epsilon that psi's rounding is counted in
+_NARROW, _EPS = 2.0 ** -29, 2.0 ** -52
+# _first_rows's weight of each row of a table
+_ROW_WEIGHTS = 2.0 ** np.arange(52, -1, -1)
 _CHUNK = 1 << 14
 _MAX_GRID = 10**8  # the most points of a prox_oracle grid
 
@@ -127,12 +130,13 @@ def _section_min(psi: Callable, lo, hi, tol: float = 1e-12, iters: int = 200):
 
 def _first_rows(ok: np.ndarray):
     """Per column of a boolean table with a True in every column, the first
-    True row, and whether another row is True (None: not told).
-    ``argmax(axis=0)`` makes an inner call per column, so a table of
-    ``_WIDE`` columns or more and at most 53 rows weighs row r by 2^(52 - r)
-    instead: a column's sum over its True rows is exact, the first in its
-    exponent and any other in its mantissa."""
-    if ok.shape[1] < _WIDE or len(ok) > _ROW_WEIGHTS.size:
+    True row, and whether another row is True (None: not told).  A table of
+    at most 53 rows weighs row r by 2^(52 - r): a column's sum over its True
+    rows is exact, the first in its exponent and any other in its mantissa.
+    That one product costs less than ``argmax(axis=0)``, which makes an inner
+    call per column, and lets the tie keys skip columns with one True row;
+    a taller table takes ``argmax``."""
+    if len(ok) > _ROW_WEIGHTS.size:
         return ok.argmax(axis=0), None
     mantissa, exponent = np.frexp(_ROW_WEIGHTS[:len(ok)] @ ok)
     return np.subtract(_ROW_WEIGHTS.size, exponent, dtype=np.intp), mantissa != 0.5
@@ -259,10 +263,13 @@ def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: floa
     [lo, hi], where sur is its convex piece's shape: a grid-section search on
     the closure cut to the reach u +- hw, or on the narrow bracket that
     ``_narrow_start`` certifies inside it, or the nearer edge where the reach
-    misses the closure.  The search fixes the minimizer up to psi's rounding:
-    where psi differs from its least value by a few ulps, the least sample
-    among such points wins.  A NaN u raises ProxError naming its
-    coordinate."""
+    misses the closure.  The narrow bracket's certificate takes psi to round
+    within 4 ulps of |f| + (v - u)^2 / 2s; a shape that rounds worse (say,
+    by cancellation) is covered while its error stays below h^2 / 4s, about
+    1e-18 / s at the narrowest h.  The search fixes the minimizer up to
+    psi's rounding: where psi differs from its least value by a few ulps,
+    the least sample among such points wins.  A NaN u raises ProxError
+    naming its coordinate."""
     _check_nan(np.isnan(u), coords)
     if u.size > _BLOCK:  # blocks of coordinates bound the search's 17 x k temporaries
         return np.concatenate([_closure_prox(sur, s, u[i:i + _BLOCK], lo, hi,
@@ -272,29 +279,43 @@ def _closure_prox(sur: SurrogateFn, s: float, u: np.ndarray, lo: float, hi: floa
     a, b = np.maximum(lo, u - hw), np.minimum(hi, u + hw)
     edge, miss = np.where(u < lo, lo, hi), a > b
     psi = _objective(sur.piece.shape, s, u)
-    v, _ = _section_min(psi, *_narrow_start(psi, np.where(miss, edge, a),
+    v, _ = _section_min(psi, *_narrow_start(psi, s, hw, np.where(miss, edge, a),
                                             np.where(miss, edge, b)))
     return np.where(miss, edge, v)
 
 
-def _narrow_start(psi: Callable, a: np.ndarray, b: np.ndarray):
-    """Per sound bracket [a, b], [c - h, c + h] cut to it, c the Newton
-    estimate from a 3-point stencil of psi at its middle and h ``_NARROW``.
-    psi is (1/s)-strongly convex on [a, b], so where psi(c) is no worse than
-    at each end that is strictly apart from c and not an end of [a, b], the
-    minimizer lies inside; elsewhere (a kink, an edge, a NaN) [a, b] stays.
-    psi sees only points of [a, b]."""
+def _narrow_start(psi: Callable, s: float, hw: float, a: np.ndarray, b: np.ndarray):
+    """Per sound bracket [a, b], within hw of its u, [c - h, c + h] cut to
+    it, c the Newton estimate from a 3-point stencil of psi at its middle.
+    psi is (1/s)-strongly convex on [a, b], so were the minimizer beyond
+    c - h, psi(c) would exceed psi(c - h) by at least h^2 / 2s.  h, one for
+    all brackets, is the least power of two, and at least ``_NARROW``, that
+    puts h^2 / 2s above twice psi's rounding, taken as 4 ulps of
+    |f| + (v - u)^2 / 2s, which |psi| + hw^2 / s bounds; the stencil's
+    middles on brackets of nonzero width size it.  So where psi at the three
+    points keeps to that size and psi(c) is no worse than at each end that
+    is strictly apart from c and not an end of [a, b], the minimizer lies
+    inside; elsewhere (a kink, an edge, a NaN, an infinite psi) [a, b]
+    stays.  psi sees only points of [a, b]."""
     width = b - a
     f_lo, f_mid, f_hi = psi(a + width * _GRID[7:10])
+    # h^2 must exceed 16 eps (s |psi| + hw^2); a NaN is left to the check
+    size = float(np.fmax.reduce(np.abs(f_mid), where=width > 0.0, initial=0.0))
+    need = 16.0 * _EPS * (s * size + hw * hw)  # hw >= 1e-3, so need > 0
+    if not need < math.inf:
+        return a, b
+    h = max(_NARROW, 2.0 ** math.ceil(0.5 * math.log2(need)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         step = width / 32.0 * (f_hi - f_lo) / (f_hi - 2.0 * f_mid + f_lo)
         # c on the lattice of h / 8, the first round's grid step, so that the
         # rounds sample dyadic points, 0 among them where the bracket holds it
-        c = np.rint((0.5 * (a + b) - step) * (8.0 / _NARROW)) * (_NARROW / 8.0)
+        c = np.rint((0.5 * (a + b) - step) * (8.0 / h)) * (h / 8.0)
     c = np.fmin(np.fmax(c, a), b)  # fmax takes a for a NaN
-    a1, b1 = np.maximum(a, c - _NARROW), np.minimum(b, c + _NARROW)
-    f_a, f_c, f_b = psi(np.stack([a1, c, b1]))
-    keep = (((a1 == a) | ((a1 < c) & (f_c <= f_a)))
+    a1, b1 = np.maximum(a, c - h), np.minimum(b, c + h)
+    fv = psi(np.stack([a1, c, b1]))
+    f_a, f_c, f_b = fv
+    keep = ((np.abs(fv).max(axis=0) <= (h * h / (16.0 * _EPS) - hw * hw) / s)
+            & ((a1 == a) | ((a1 < c) & (f_c <= f_a)))
             & ((b1 == b) | ((c < b1) & (f_c <= f_b))))
     return np.where(keep, a1, a), np.where(keep, b1, b)
 

@@ -434,6 +434,36 @@ class TestNumericFallback:
             assert abs(out - 0.3) < 1e-9
             assert objective(sur, s, x, out) <= objective(sur, s, x, ref) + 1e-12
 
+    @pytest.mark.parametrize("curve, calls", [(lambda v: 2.0 * v * v, 12),
+                                              (lambda v: np.sqrt(1.0 + (10.0 * v) ** 2), 16)],
+                             ids=["quadratic", "sqrt"])
+    def test_large_valued_shape_matches_oracle(self, curve, calls):
+        # 1e7 + curve(v) on [-1, 1]: psi rounds at ulps of 1e7, far above
+        # what psi changes by across a 2^-28 wide bracket.  On the quadratic
+        # the stencil's estimate is exact and the start widens to 2^-11 (s = 1)
+        # or 2^-12 (s = 0.3): two 3-point calls, then 10 grid rounds.  On the sqrt the estimate
+        # misses that bracket and the search runs 14 rounds on the whole
+        # closure.  Either way the point matches the oracle up to rounding.
+        def shape(v):
+            seen.append(np.array(v, dtype=float))
+            return 1e7 + curve(v)
+
+        seen, cap = [], 1e7 + curve(1.0)
+        fn = build_piecewise([PieceSpec(-math.inf, -1.0, Constant(cap)),
+                              PieceSpec(-1.0, 1.0, shape),
+                              PieceSpec(1.0, math.inf, Constant(cap))],
+                             ["continuous", "continuous"])
+        sur = fn.surrogate(2)
+        for s in (1.0, 0.3):
+            for x in np.linspace(-0.9, 0.9, 10):
+                seen.clear()
+                out = prox_surrogate(sur, s, float(x))
+                assert len(seen) == calls
+                assert np.abs(np.concatenate([v.ravel() for v in seen])).max() <= 1.0
+                ref = prox_oracle(sur, s, float(x), 1.0, 1e-4)
+                assert objective(sur, s, x, out) <= \
+                    objective(sur, s, x, ref) + 4 * np.spacing(1e7)
+
     def test_closure_search_takes_blocks(self):
         # 2500 coordinates go through in blocks of 1024: the shape never sees
         # more than 17 x 1024 points at once, and each coordinate, at the block
