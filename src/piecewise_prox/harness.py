@@ -158,10 +158,17 @@ def synth(kind: str, n: int, d: int, sparsity: float = 0.2, noise: float = 0.0,
     y = sign(A x* + noise * eps) in {-1, +1}.  ``sparsity`` is the fraction of
     nonzero coefficients (at least one); nonzero magnitudes are uniform on
     [0.5, coeff_scale] with random signs; features are ``feature_scale`` times
-    a seeded standard normal.  Returns (dataset, x_star).
+    a seeded standard normal.  Returns (dataset, x_star).  A sparsity off
+    [0, 1] or a non-finite scale raises ValueError naming it.
     """
     if kind not in ("regression", "classification"):
         raise ValueError(f"unknown synth kind {kind!r}")
+    if not 0.0 <= sparsity <= 1.0:  # a NaN fails too
+        raise ValueError(f"sparsity must be a finite number in [0, 1], got {sparsity!r}")
+    for name, value in (("noise", noise), ("coeff_scale", coeff_scale),
+                        ("feature_scale", feature_scale)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     rng = np.random.default_rng(seed)
     A = feature_scale * rng.standard_normal((n, d))
     k = max(1, int(round(sparsity * d)))

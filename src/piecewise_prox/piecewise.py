@@ -45,7 +45,6 @@ import inspect
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -431,19 +430,6 @@ class PiecewiseFn:
     __call__ = evaluate
 
     # -- structural metadata -------------------------------------------------
-
-    @cached_property
-    def _owner_values(self):
-        """(q, f(q), owner, unowned): the breakpoint values ascending, the
-        penalty at each (the bytes ``evaluate`` gives), the owner of each and,
-        per piece, the (edges, values, owners) of its finite edges that
-        another piece owns, all from the endpoint records."""
-        owners = {e.value: e.owner for e in self.endpoints}
-        q = np.array(list(owners), dtype=float)
-        at = np.array(list(owners.values()), dtype=np.int64)
-        fq = self.surrogate_values(q, at)
-        foreign = [((q == p.left) | (q == p.right)) & (at != p.index) for p in self.pieces]
-        return q, fq, at, tuple((q[f], fq[f], at[f]) for f in foreign)
 
     def surrogate(self, m: int) -> SurrogateFn:
         """Surrogate extension of piece m (1-based)."""

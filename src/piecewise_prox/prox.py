@@ -9,10 +9,11 @@ the best of the closure candidate and each wing minimizer that lies on its
 wing.  ``prox_surrogate`` applies it at one point, ``_prox_entries`` to each
 entry of a surrogate table on its coordinates, one array call per entry, as
 ``Problem.prox_step`` does.  ``prox_true`` is the exact prox of the full
-penalty: each piece's closure candidate and every breakpoint, each valued once
-by the piece that produced it, so the winner's value and piece come with it
-(``_prox_true_valued``).  Ties go to the library rule (``_pick_rows``), which
-finds each column's first least row from one weighted sum over the rows.
+penalty: each piece's closure candidate, valued by its shape, competes where
+it lies on the set the piece owns, and the winner's value and piece come
+with its row (``_prox_true_valued``).  Ties go to the library rule
+(``_pick_rows``), which finds each column's first least row from one
+weighted sum over the rows of a table of up to 53 rows (pieces).
 Every grid-section search runs on all of its brackets at once
 (``_section_min``): each round samples a fixed 17-point grid across every
 bracket and keeps the two cells around the least sample, until the bracket is
@@ -405,42 +406,37 @@ def _prox_entries(entries, s: float, u: np.ndarray) -> np.ndarray:
 def prox_true(fn: PiecewiseFn, s: float, u: np.ndarray) -> np.ndarray:
     """Exact prox of the full penalty, coordinatewise.
 
-    Enumerates, per piece, its closure candidate (see ``_surrogate_prox``),
-    plus every finite breakpoint, and keeps the candidate minimizing the true
-    objective (ties broken by the library rule).  Restricted to a closure each
-    shape is continuous and convex, so the clipped closed form is exact there.  A
-    candidate takes its piece's shape, or the owner's f(q) on a breakpoint
-    row or an edge its piece does not own, as the membership rule values it,
-    so the winner's value and piece come free (``_prox_true_valued``).
+    Per piece, its closure candidate (see ``_surrogate_prox``) competes where
+    it lies on the set that piece owns, valued by the piece's shape; the
+    least objective wins, ties broken by the library rule.  This is exact:
+    a global minimizer v* lies on the set its owner m owns, where m's shape
+    is f, and by the build's lower-semicontinuity check m's shape is no
+    lower than f at an edge m does not own, so v* minimizes m's strongly
+    convex objective on its closure and is m's closure candidate.  The
+    winner's value and piece come with its row (``_prox_true_valued``).
     """
     return _prox_true_valued(fn, s, u)[0]
 
 
 def _prox_true_valued(fn: PiecewiseFn, s: float, u: np.ndarray):
-    """``prox_true``'s point, with f there and the 1-based piece that owns it
-    as its row has them: the row's piece, or the owner of its breakpoint."""
+    """``prox_true``'s point, with f there and the 1-based piece that owns
+    it: a piece's closure candidate off its owned set [own_lo, own_hi] (an
+    edge it does not own) takes psi = +inf, so the winning row is the owner."""
     _check_step(s)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.isfinite(u).all():
         fn.piece_index(u)  # raises the membership rule's ValueError
-    q, fq, at, unowned = fn._owner_values
-    n = fn.n_pieces
-    cands = np.empty((n + q.size, u.size))
-    values, pieces = np.empty_like(cands), np.empty(cands.shape, dtype=np.int64)
-    cands[n:], values[n:], pieces[n:] = q[:, None], fq[:, None], at[:, None]
     coords = np.arange(u.size)
-    for m, (p, (edges, edge_values, owners)) in enumerate(zip(fn.pieces, unowned), 1):
-        v = _closure_candidate(fn.surrogate(m), s, u, coords)
-        cands[m - 1], values[m - 1], pieces[m - 1] = v, p.shape(v), m
-        for e, fe, owner in zip(edges, edge_values, owners):
-            at_edge = v == e
-            np.copyto(values[m - 1], fe, where=at_edge)
-            np.copyto(pieces[m - 1], owner, where=at_edge)
+    cands = np.stack([_closure_candidate(sur, s, u, coords) for sur in fn.surrogates])
+    values = np.stack([p.shape(v) for p, v in zip(fn.pieces, cands)])
     psi = cands - u  # (cands - u) ** 2 / (2s) + values, in one buffer
     np.square(psi, out=psi)
     psi /= 2.0 * s
     psi += values
+    own_lo, own_hi = fn._bounds[2:4, :, None]
+    np.copyto(psi, np.inf, where=(cands < own_lo) | (cands > own_hi))
     least = psi.min(axis=0)
     _check_nan(np.isnan(least), coords)
-    flat = _flat(_pick_rows(cands, psi, least))
-    return cands.take(flat), values.take(flat), pieces.take(flat)
+    rows = _pick_rows(cands, psi, least)
+    flat = _flat(rows)
+    return cands.take(flat), values.take(flat), rows + 1

@@ -1,6 +1,9 @@
 import json
+import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,17 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_module_call_runs_main():
+    # python -m piecewise_prox.cli reaches the module's __main__ line
+    repo = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-B", "-m", "piecewise_prox.cli", "certify",
+                           "--lg", "1", "--g", "0.1", "--f0", "0.2"],
+                          capture_output=True, text=True, timeout=60, cwd=repo,
+                          env={**os.environ, "PYTHONPATH": str(repo / "src")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "step-size certificate"
 
 
 class TestHelp:
@@ -277,6 +291,14 @@ class TestSolve:
         assert code == 2
         assert err == line
 
+    @pytest.mark.parametrize("flag, value", [("--sparsity", "inf"), ("--sparsity", "1e308"),
+                                             ("--noise", "nan")])
+    def test_non_finite_synth_number_exits_2(self, tmp_path, capsys, flag, value):
+        code, out, err = run_cli(["solve", flag, value, "--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {flag[2:]} must be a finite number")
+        assert len(err.strip().splitlines()) == 1
+
     def test_csv_requires_path(self, capsys):
         code, out, err = run_cli(["solve", "--data", "csv"], capsys)
         assert code == 1
@@ -407,6 +429,20 @@ class TestBenchmark:
         code, out, err = run_cli(["benchmark", "--config", str(cfg)], capsys)
         assert code == 2
         assert err.startswith(f"error: data key {key!r}")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("key, value", [("coeff_scale", math.nan),
+                                            ("feature_scale", math.inf), ("sparsity", 2.0)])
+    def test_bad_synth_number_exits_2(self, tmp_path, capsys, key, value):
+        # json writes NaN and Infinity, which json.load reads back
+        cfg = self.write_config(tmp_path, tmp_path / "results")
+        doc = json.loads(cfg.read_text())
+        doc["data"][key] = value
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["benchmark", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {key} must be a finite number")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "results").exists()
 

@@ -213,6 +213,18 @@ class TestSynth:
         with pytest.raises(ValueError, match="kind"):
             synth("clustering", n=10, d=2)
 
+    @pytest.mark.parametrize("key, value", [
+        ("sparsity", math.inf), ("sparsity", 1e308), ("sparsity", math.nan),
+        ("sparsity", -0.5), ("sparsity", 1.5), ("noise", math.nan),
+        ("coeff_scale", math.inf), ("coeff_scale", math.nan), ("feature_scale", -math.inf),
+    ])
+    def test_bad_number_is_named(self, key, value):
+        # an infinite sparsity once overflowed in int(), and a non-finite
+        # coeff_scale failed inside rng.uniform
+        what = "a finite number in [0, 1]" if key == "sparsity" else "a finite number"
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be {what}, got {value!r}")):
+            synth("regression", n=10, d=4, **{key: value})
+
 
 def desk_config(tmp_path, record_timing=True, seed=0):
     return ExperimentConfig.from_dict({

@@ -333,6 +333,9 @@ TILING_PENALTIES = [
     lambda: point_then_line("right-only"),
     lambda: point_then_line("isolated"),
 ]
+TILING_IDS = ["capped-l1", "indicator", "l0", "leaky", "l1", "quadratic-segments",
+              "point-right-left", "point-isolated-left", "right-only-continuous",
+              "point-right-isolated", "point-line-right-only", "point-line-isolated"]
 
 
 class TestMembership:
@@ -353,6 +356,18 @@ class TestMembership:
         assert fn.piece_index(0.0) == 2
         assert fn.piece_index(-1e-300) == 1
         assert fn.piece_index(1e-300) == 3
+
+    @pytest.mark.parametrize("fn_factory", TILING_PENALTIES + [zero_penalty],
+                             ids=TILING_IDS + ["zero"])
+    def test_owned_edges_match_membership(self, fn_factory):
+        # a finite closure edge lies on a piece's owned set exactly when the
+        # membership rule gives that edge to the piece
+        fn = fn_factory()
+        left, right, own_lo, own_hi = fn._bounds[:4]
+        for m in range(fn.n_pieces):
+            for e in (left[m], right[m]):
+                if math.isfinite(e):
+                    assert (own_lo[m] <= e <= own_hi[m]) == (fn.piece_index(e) == m + 1)
 
     @pytest.mark.parametrize("fn_factory", TILING_PENALTIES)
     def test_tiling(self, fn_factory):
@@ -567,24 +582,6 @@ class TestSurrogates:
                 assert sur(x).tobytes() == masked(x).tobytes(), batch
                 for xi in x:
                     assert np.float64(sur(float(xi))).tobytes() == masked(np.array([xi])).tobytes()
-
-    @pytest.mark.parametrize("fn", [capped_l1(0.2, 1.0), indicator_penalty(2.0, 1.0),
-                                    leaky_capped_l1(1.0, 1.0, 0.5), l0_penalty(0.7),
-                                    l1_penalty(0.3), zero_penalty(), quad_on_segments()],
-                             ids=["capped-l1", "indicator", "leaky", "l0", "l1", "zero",
-                                  "quadratic-segments"])
-    def test_owner_values_match_evaluate(self, fn):
-        q, fq, at, unowned = fn._owner_values
-        assert q.tolist() == sorted({e.value for e in fn.endpoints})
-        assert fq.tobytes() == fn.evaluate(q).tobytes()
-        owner = fn.piece_index(q)
-        assert at.tolist() == owner.tolist()
-        for m, (edges, values, owners) in enumerate(unowned, start=1):
-            lo, hi = fn.surrogate(m).piece.left, fn.surrogate(m).piece.right
-            expect = [j for j, v in enumerate(q) if v in (lo, hi) and owner[j] != m]
-            assert edges.tobytes() == q[expect].tobytes()
-            assert values.tobytes() == fq[expect].tobytes()
-            assert owners.tolist() == owner[expect].tolist()
 
     def test_index_out_of_range(self):
         fn = capped_l1(0.2, 1.0)

@@ -36,6 +36,7 @@ from piecewise_prox.prox import (
 )
 
 from helpers import prox_vector
+from test_piecewise import TILING_IDS, TILING_PENALTIES
 
 
 def objective(f, s, x, v):
@@ -304,15 +305,22 @@ class TestNumericFallback:
             ref = prox_oracle(f2, s, float(x), hw, 1e-5)
             assert objective(f2, s, x, out) <= objective(f2, s, x, ref) + 1e-8
 
-    def test_prox_true_matches_oracle(self, fn_without_kernels):
-        fn, _, _ = fn_without_kernels
+    @pytest.mark.parametrize("make", [linear_wings, constant_limit_wing, zero_penalty,
+                                      *TILING_PENALTIES],
+                             ids=["linear-wings", "constant-limit-wing", "zero", *TILING_IDS])
+    def test_prox_true_matches_oracle(self, make):
+        # the draws hold each breakpoint, its float neighbours and the points
+        # an edge slope moves onto it, where a breakpoint is the minimizer
+        fn = make()
         rng = np.random.default_rng(5)
-        u = rng.uniform(-4, 4, size=12)
-        s = 0.37
-        out = prox_true(fn, s, u)
-        for i, ui in enumerate(u):
-            ref = prox_oracle(fn.evaluate, s, float(ui), 3.0, 1e-5)
-            assert objective(fn.evaluate, s, ui, out[i]) <= objective(fn.evaluate, s, ui, ref) + 1e-8
+        jumps = sum(abs(a.value_right - b.value_left) for a, b in zip(fn.pieces, fn.pieces[1:]))
+        breakpoints = [e.value for e in fn.endpoints]
+        for s in (0.37, 2.0):
+            u = prox_true_draws(fn, s, rng, 12)
+            for ui, vi in zip(u, prox_true(fn, s, u)):
+                hw = minimizer_halfwidth(fn.F0, jumps, breakpoints, s, float(ui))
+                ref = prox_oracle(fn.evaluate, s, float(ui), hw, 1e-4)
+                assert objective(fn.evaluate, s, ui, vi) <= objective(fn.evaluate, s, ui, ref) + 1e-8
 
     def test_wing_minimizers_are_closed_form(self):
         # u far left of the constant-limit wing's edge stays put; far right of
@@ -479,8 +487,8 @@ class TestNumericFallback:
 
 
 def signed_zero_edge():
-    # piece 2 owns the jump at 0, so at u = -0.0 piece 1's candidate -0.0
-    # ties piece 2's +0.0 only when it takes the owner's value there
+    # piece 2 owns the jump at 0, so piece 1's candidate for u >= 0, the edge
+    # 0 (-0.0 at u = -0.0), lies off the set piece 1 owns and does not compete
     return build_piecewise(
         [
             PieceSpec(-math.inf, 0.0, Constant(1.0)),
@@ -492,9 +500,8 @@ def signed_zero_edge():
 
 
 def signed_zero_unowned_edge():
-    # at u = -0.0 piece 1's candidate -0.0 sits on the edge piece 2 owns and
-    # wins the tie with piece 2's +0.0 and the breakpoint row: it must stay
-    # a candidate, valued as the owner values 0
+    # at u = -0.0 piece 1's candidate -0.0 sits on the edge piece 2 owns, so
+    # only piece 2's +0.0 competes: one psi, 0, for either sign
     return build_piecewise(
         [PieceSpec(-math.inf, 0.0, Constant(1.0)), PieceSpec(0.0, math.inf, Affine(0.5, 0.0))],
         ["right-only"],
@@ -514,21 +521,21 @@ def mixed_tag_point():
 
 
 def prox_true_by_membership(fn, s, u):
-    """prox_true's candidates valued through fn.evaluate, the membership rule."""
+    """prox_true from each piece's closure candidate where the membership
+    rule gives that point to the piece, valued through fn.evaluate."""
     coords = np.arange(u.size)
-    rows = [_closure_candidate(fn.surrogate(m), s, u, coords) for m in range(1, fn.n_pieces + 1)]
-    rows += [np.full(u.shape, q) for q in sorted({e.value for e in fn.endpoints})]
-    cands = np.stack(rows)
-    return _pick_checked(cands, (cands - u) ** 2 / (2.0 * s) + fn.evaluate(cands),
-                         np.arange(u.size))
+    cands = np.stack([_closure_candidate(sur, s, u, coords) for sur in fn.surrogates])
+    psi = (cands - u) ** 2 / (2.0 * s) + fn.evaluate(cands)
+    own = fn.piece_index(cands) == np.arange(1, fn.n_pieces + 1)[:, None]
+    return _pick_checked(cands, np.where(own, psi, np.inf), coords)
 
 
-def prox_true_draws(fn, s, rng):
-    """Random points, both zeros, each breakpoint with its float neighbours,
+def prox_true_draws(fn, s, rng, n=60):
+    """n random points, both zeros, each breakpoint with its float neighbours,
     and the points that a piece's edge slope moves onto a breakpoint."""
     slopes = np.array([t for p in fn.pieces for t in (p.left_slope, p.right_slope)
                        if math.isfinite(t)])
-    draws = [rng.uniform(-4.0, 4.0, 60), np.array([0.0, -0.0])]
+    draws = [rng.uniform(-4.0, 4.0, n), np.array([0.0, -0.0])]
     for q in sorted({e.value for e in fn.endpoints}):
         draws += [np.array([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)]),
                   q + s * slopes, q - s * slopes]
