@@ -14,6 +14,8 @@ import sys
 
 import numpy as np
 
+from .harness import (_DATA_KEYS, _LOSSES, _SOLVERS, ExperimentConfig, _data_keys, _run_one,
+                      build_problem, run_experiment)
 from .piecewise import _BUILTINS
 
 __all__ = ["main", "build_parser"]
@@ -34,15 +36,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", metavar="{solve,benchmark,prox-check,certify}")
 
     ps = sub.add_parser("solve", help="run one solver on one problem", prog="piecewise-prox solve")
-    ps.add_argument("--loss", choices=("logistic", "least-squares"), default="least-squares")
+    ps.add_argument("--loss", choices=tuple(_LOSSES), default="least-squares")
     ps.add_argument("--penalty", default="capped-l1", choices=tuple(_BUILTINS))
     # each penalty takes the flags named after its constructor's parameters
     ps.add_argument("--lam", type=float, default=0.2, help="penalty weight")
     ps.add_argument("--b", type=float, default=1.0, help="cap location for capped penalties")
     ps.add_argument("--tau", type=float, default=0.0, help="indicator threshold")
     ps.add_argument("--beta", type=float, default=0.1, help="leak slope beyond the cap")
-    ps.add_argument("--data", default="synth-regression",
-                    choices=("synth-classification", "synth-regression", "csv", "idx"))
+    ps.add_argument("--data", default="synth-regression", choices=tuple(_DATA_KEYS))
     # a data flag left out takes the default of synth (here n, d = 200, 20) or subsample_binary
     ps.add_argument("--n", type=int, help="examples of synthetic data")
     ps.add_argument("--d", type=int, help="features of synthetic data")
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--class-a", type=int, help="positive class for IDX subsampling")
     ps.add_argument("--class-b", type=int, help="negative class for IDX subsampling")
     ps.add_argument("--per-class", type=int, help="examples per class of an IDX subsample")
-    ps.add_argument("--solver", choices=("ppgd", "pgd", "apg"), default="ppgd")
+    ps.add_argument("--solver", choices=tuple(_SOLVERS), default="ppgd")
     ps.add_argument("--s", type=float, help="step size (default 1/(2 L_g))")
     ps.add_argument("--w0", type=float, help="NCE acceptance fraction in (0,1] (ppgd only)")
     ps.add_argument("--iters", type=int, default=200, help="iteration count K")
@@ -96,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    from .harness import _DATA_KEYS, ExperimentConfig, _data_keys, _run_one, build_problem
-
     if args.stop_tol is not None and args.solver != "ppgd":
         raise _UsageError("--stop-tol applies to --solver ppgd only")
     penalty_params = {name: getattr(args, name)
@@ -147,8 +146,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    from .harness import ExperimentConfig, run_experiment
-
     with open(args.config) as fh:
         doc = json.load(fh)
     if args.output_dir is not None and isinstance(doc, dict):  # from_dict rejects the rest

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _SOLVERS = {"ppgd": ppgd, "pgd": pgd, "apg": apg_monotone}
+_LOSSES = {"logistic": logistic_loss, "least-squares": least_squares}
 
 _IMAGES_MAGIC = 2051
 _LABELS_MAGIC = 2049
@@ -211,7 +212,7 @@ class SolverSpec:
     K: int = 100
 
     def __post_init__(self):
-        if self.name not in _SOLVERS:
+        if not isinstance(self.name, str) or self.name not in _SOLVERS:
             raise ValueError(f"unknown solver {self.name!r}; expected one of {sorted(_SOLVERS)}")
         if not _is_count(self.K):
             raise ValueError(f"solver {self.name!r}: K must be an integer >= 1, got {self.K!r}")
@@ -333,16 +334,12 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[Problem, np.ndarray]:
-    """Construct the shared Problem and starting point for a config."""
-    data = _load_dataset(cfg)
-    if cfg.loss == "logistic":
-        loss = logistic_loss(data)
-    elif cfg.loss == "least-squares":
-        loss = least_squares(data)
-    else:
-        raise ValueError(f"unknown loss {cfg.loss!r}")
+    """Construct the shared Problem and starting point for a config; the loss
+    and penalty are checked before any data is made or read."""
+    if not isinstance(cfg.loss, str) or cfg.loss not in _LOSSES:
+        raise ValueError(f"unknown loss {cfg.loss!r}; expected one of {sorted(_LOSSES)}")
     penalty = builtin_penalty(cfg.penalty["kind"], **cfg.penalty.get("params", {}))
-    problem = Problem(loss, penalty)
+    problem = Problem(_LOSSES[cfg.loss](_load_dataset(cfg)), penalty)
     return problem, np.zeros(problem.d)
 
 
@@ -422,19 +419,9 @@ def _prefix(problem: Problem, trace: Trace, K: int) -> Trace:
     Exact, because no solver's iteration k depends on its K; only the final
     residual, taken at the last kept iterate, is recomputed.
     """
-    n = K + 1
-    return dataclasses.replace(
-        trace,
-        k=trace.k[:n],
-        objective=trace.objective[:n],
-        surrogate_objective=trace.surrogate_objective[:n],
-        transitions=trace.transitions[:n],
-        nce_outcomes=trace.nce_outcomes[:n],
-        wall_ms=trace.wall_ms[:n],
-        iterates=trace.iterates[:n],
-        restarted=trace.restarted[:n],
-        final_residual=stationarity_residual(problem, trace.iterates[K], trace.s),
-    )
+    head = trace.head(K + 1)
+    head.final_residual = stationarity_residual(problem, head.final_x, trace.s)
+    return head
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

@@ -97,7 +97,10 @@ class Constant:
     c: float
 
     def __call__(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.c)
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, self.c)
+        np.copyto(out, x, where=np.isnan(x))  # NaN in, NaN out, as on every shape
+        return out
 
     def prox(self, u, s: float):
         return u
@@ -696,12 +699,10 @@ _BUILTINS = {
 
 
 def builtin_penalty(kind: str, **params) -> PiecewiseFn:
-    try:
-        ctor = _BUILTINS[kind]
-    except KeyError:
+    ctor = _BUILTINS.get(kind) if isinstance(kind, str) else None
+    if ctor is None:
         raise PiecewiseBuildError(
-            f"unknown penalty kind {kind!r}; expected one of {sorted(_BUILTINS)}"
-        ) from None
+            f"unknown penalty kind {kind!r}; expected one of {sorted(_BUILTINS)}")
     try:
         inspect.signature(ctor).bind(**params)
     except TypeError as exc:

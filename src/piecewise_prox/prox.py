@@ -172,11 +172,6 @@ def _flat(rows: np.ndarray) -> np.ndarray:
     return rows * rows.size + np.arange(rows.size)
 
 
-def _pick_columns(cands: np.ndarray, psi: np.ndarray, least=None) -> np.ndarray:
-    """Per column, the candidate ``_pick_rows`` picks."""
-    return cands.take(_flat(_pick_rows(cands, psi, least)))
-
-
 def _check_nan(bad: np.ndarray, coords) -> None:
     """Raise ProxError naming the coordinate of the first column marked ``bad``."""
     if bad.any():
@@ -184,18 +179,18 @@ def _check_nan(bad: np.ndarray, coords) -> None:
                         "NaN objective among the prox candidates")
 
 
-def _pick_checked(cands: np.ndarray, psi: np.ndarray, coords) -> np.ndarray:
-    """``_pick_columns``, but a NaN psi raises ProxError naming its column's
-    coords: a column's least psi is NaN just where it holds one."""
+def _least_rows(cands: np.ndarray, psi: np.ndarray, coords) -> np.ndarray:
+    """``_pick_rows`` from each column's least psi, which is NaN just where
+    the column holds a NaN: that raises ProxError naming its coordinate."""
     least = psi.min(axis=0)
     _check_nan(np.isnan(least), coords)
-    return _pick_columns(cands, psi, least)
+    return _pick_rows(cands, psi, least)
 
 
 def _pick(candidates):
     """Argmin of (v, psi(v)) pairs with the library tie rule."""
     v, f = np.array(candidates, dtype=float).T
-    return float(_pick_columns(v[:, None], f[:, None])[0])
+    return float(v[_pick_rows(v[:, None], f[:, None])[0]])
 
 
 def prox_surrogate(f_m: SurrogateFn, s: float, x: float) -> float:
@@ -241,7 +236,8 @@ def _surrogate_prox(sur: SurrogateFn, s: float, u: np.ndarray, coords) -> np.nda
             on = beyond[live]
             cands.append(np.where(on, w[live], v_))
             psis.append(np.where(on, psi[live], psi_v_))
-        v[live] = _pick_checked(np.stack(cands), np.stack(psis), coords[live])
+        cands = np.stack(cands)
+        v[live] = cands.take(_flat(_least_rows(cands, np.stack(psis), coords[live])))
     return v
 
 
@@ -435,8 +431,6 @@ def _prox_true_valued(fn: PiecewiseFn, s: float, u: np.ndarray):
     psi += values
     own_lo, own_hi = fn._bounds[2:4, :, None]
     np.copyto(psi, np.inf, where=(cands < own_lo) | (cands > own_hi))
-    least = psi.min(axis=0)
-    _check_nan(np.isnan(least), coords)
-    rows = _pick_rows(cands, psi, least)
+    rows = _least_rows(cands, psi, coords)
     flat = _flat(rows)
     return cands.take(flat), values.take(flat), rows + 1

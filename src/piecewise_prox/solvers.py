@@ -35,7 +35,7 @@ import math
 import numbers
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -275,16 +275,18 @@ def extrapolate(x, x_prev, z, t_prev: float, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 TRACE_COLUMNS = ("k", "F", "F_surrogate_z", "n_transitions_so_far", "nce_flag", "wall_ms")
+# one trace row as _solve records it: a value of each per-row field of Trace, in its order
+_Row = namedtuple("_Row", "objective surrogate_objective transitions nce_outcomes wall_ms "
+                          "iterates restarted")
 
 
 @dataclass
 class Trace:
-    """Per-iteration record of one solver run."""
+    """Per-iteration record of one solver run; row k is iteration k."""
 
     solver: str
     s: float
     w0: Optional[float]
-    k: np.ndarray
     objective: np.ndarray
     surrogate_objective: np.ndarray
     transitions: np.ndarray
@@ -293,6 +295,20 @@ class Trace:
     iterates: np.ndarray
     restarted: np.ndarray  # per row: whether its step restarted the momentum
     final_residual: float = math.nan
+
+    @property
+    def k(self) -> np.ndarray:
+        """The iteration number of each row, 0 .. len - 1."""
+        return np.arange(len(self.objective), dtype=np.int64)
+
+    def head(self, n: int) -> "Trace":
+        """The first n >= 1 rows; ``final_residual``, taken at the last row,
+        is NaN on a trace cut short."""
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        residual = self.final_residual if n >= len(self.objective) else math.nan
+        return replace(self, **{name: getattr(self, name)[:n] for name in _Row._fields},
+                       final_residual=residual)
 
     @property
     def n_transitions(self) -> np.ndarray:
@@ -313,10 +329,10 @@ class Trace:
 
     def to_rows(self):
         n_trans = self.n_transitions
-        for j in range(len(self.k)):
+        for j in range(len(self.objective)):
             sz = self.surrogate_objective[j]
             yield (
-                int(self.k[j]),
+                j,
                 repr(float(self.objective[j])),
                 "" if math.isnan(sz) else repr(float(sz)),
                 int(n_trans[j]),
@@ -335,7 +351,7 @@ class Trace:
             "solver": self.solver,
             "s": self.s,
             "w0": self.w0,
-            "iterations": int(self.k[-1]),
+            "iterations": len(self.objective) - 1,
             "final_objective": self.final_objective,
             "n_transitions": int(self.n_transitions[-1]),
             "final_residual": self.final_residual,
@@ -443,7 +459,7 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
     F_x = problem.loss.value(x, px) + problem.surrogate_penalty(assign, x)
     _check_finite(F_x, solver, 0)
     # one row per trace line; x is never changed in place, so no row copies it
-    rows = [(0, F_x, math.nan, False, "", 0.0, x, False)]
+    rows = [_Row(F_x, math.nan, False, "", 0.0, x, False)]
     last_transition = 0
     end = (F_x, x, px, assign, x_prev, px_prev, z, pz)  # the state the next step reads
     residual = None  # the stop test's residual at the latest iteration's x, if it ran
@@ -473,7 +489,7 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
             x_prev, px_prev, z, pz, t_prev, t = x, px, x, px, 0.0, 1.0
 
         wall = (time.perf_counter() - tic) * 1e3 if record_timing else 0.0
-        rows.append((k, F_x, F_probe, transition, outcome, wall, x, restart))
+        rows.append(_Row(F_x, F_probe, transition, outcome, wall, x, restart))
 
         if stop_tol is not None and k - last_transition >= 10:
             residual = _residual(problem, x, s, px, assign)
@@ -486,20 +502,19 @@ def _solve(solver: str, step, problem: Problem, x0, s: Optional[float], K: int,
                 residual = _residual(problem, x, s, px, assign)
                 if residual < stop_tol:
                     stop = min(K, last_transition + 10)
-            rows += [(j, *rows[-1][1:5], 0.0, *rows[-1][6:]) for j in range(k + 1, stop + 1)]
+            rows += [rows[-1]._replace(wall_ms=0.0)] * (stop - k)
             break
         end = state
 
-    ks, F, F_sz, transitions, outcomes, walls, xs, restarts = zip(*rows)
+    cols = _Row(*zip(*rows))
     return Trace(solver=solver, s=s, w0=w0,
-                 k=np.asarray(ks, dtype=np.int64),
-                 objective=np.asarray(F, dtype=float),
-                 surrogate_objective=np.asarray(F_sz, dtype=float),
-                 transitions=np.asarray(transitions, dtype=bool),
-                 nce_outcomes=list(outcomes),
-                 wall_ms=np.asarray(walls, dtype=float),
-                 iterates=np.stack(xs, axis=0),
-                 restarted=np.asarray(restarts, dtype=bool),
+                 objective=np.asarray(cols.objective, dtype=float),
+                 surrogate_objective=np.asarray(cols.surrogate_objective, dtype=float),
+                 transitions=np.asarray(cols.transitions, dtype=bool),
+                 nce_outcomes=list(cols.nce_outcomes),
+                 wall_ms=np.asarray(cols.wall_ms, dtype=float),
+                 iterates=np.stack(cols.iterates, axis=0),
+                 restarted=np.asarray(cols.restarted, dtype=bool),
                  final_residual=_residual(problem, x, s, px, assign) if residual is None
                  else residual)
 
@@ -616,17 +631,15 @@ def apg_monotone(problem: Problem, x0, s: Optional[float] = None, K: int = 100,
 # ---------------------------------------------------------------------------
 
 
-def stationarity_residual(problem: Problem, x, s: float, Xx=None) -> float:
+def stationarity_residual(problem: Problem, x, s: float) -> float:
     """||x - prox-step(x)|| / s with the surrogates of the pieces of x.
 
     Zero at a point that is a fixed point of the projected surrogate update; a
-    numeric stand-in for the critical-point condition.  A caller that holds
-    the product X @ x passes it as ``Xx``, as to ``SmoothLoss.gradient``; the
-    result is the same bit for bit.
+    numeric stand-in for the critical-point condition.
     """
     _check_step(s)
     x = np.asarray(x, dtype=float)
-    return _residual(problem, x, s, Xx, problem.assignments(x))
+    return _residual(problem, x, s, None, problem.assignments(x))
 
 
 def _residual(problem: Problem, x: np.ndarray, s: float, Xx, assign) -> float:
@@ -647,14 +660,20 @@ def estimate_G(problem: Problem, x0, trace: Optional[Trace] = None,
     trace is given), inflates it by the penalty's R0 on each side (no inflation
     when R0 is infinite), samples it with a seeded generator plus the corners,
     and returns the max gradient norm scaled by ``safety``.  The gradients are
-    taken ``_G_CHUNK`` points at a time by ``SmoothLoss._gradients``.
+    taken ``_G_CHUNK`` points at a time by ``SmoothLoss._gradients``.  A
+    non-finite x0 or trace iterate, or one of the wrong shape, is a ValueError.
     """
     if not (isinstance(n_samples, numbers.Integral) and n_samples >= 0):
         raise ValueError(f"n_samples must be an integer >= 0, got {n_samples!r}")
     if not 0.0 < safety < math.inf:
         raise ValueError(f"safety must be finite and positive, got {safety!r}")
     x0 = np.asarray(x0, dtype=float)
-    pts = trace.iterates if trace is not None else x0[None, :]
+    if x0.shape != (problem.d,) or not np.isfinite(x0).all():
+        raise ValueError(f"x0 must hold {problem.d} finite numbers, got shape {x0.shape}")
+    pts = x0[None, :] if trace is None else np.asarray(trace.iterates, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != problem.d or not len(pts) or not np.isfinite(pts).all():
+        raise ValueError(f"trace iterates must be k >= 1 rows of {problem.d} finite numbers, "
+                         f"got shape {pts.shape}")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     r0 = problem.min_r0()

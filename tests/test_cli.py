@@ -339,6 +339,11 @@ MALFORMED_CONFIGS = {
     "solvers-null": lambda doc: {**doc, "solvers": None},
     "timing-string": lambda doc: {**doc, "record_timing": "no"},
     "dir-number": lambda doc: {**doc, "output_dir": 5},
+    # names that are not strings, and a bad loss with data that cannot be read
+    "penalty-kind-list": lambda doc: {**doc, "penalty": {"kind": ["capped-l1"]}},
+    "solver-name-list": lambda doc: {**doc, "solvers": [{"name": ["ppgd"]}]},
+    "loss-before-data": lambda doc: {**doc, "loss": "lsq",
+                                     "data": {"kind": "csv", "path": "no/such/dir/data.csv"}},
 }
 
 
@@ -463,6 +468,14 @@ class TestBenchmark:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "results").exists()
+
+    def test_loss_is_checked_before_the_data_is_read(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, tmp_path / "results")
+        doc = MALFORMED_CONFIGS["loss-before-data"](json.loads(cfg.read_text()))
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["benchmark", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error: unknown loss 'lsq'")
 
     def test_output_dir_flag_overrides_config(self, tmp_path, capsys):
         out_dir = tmp_path / "results"

@@ -474,6 +474,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown loss 'hinge'"):
             build_problem(cfg)
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"loss": "hinge"}, "unknown loss 'hinge'"),
+        ({"loss": ["logistic"]}, "unknown loss ['logistic']"),
+        ({"penalty": {"kind": "bridge"}}, "unknown penalty kind 'bridge'"),
+        ({"penalty": {"kind": {"capped-l1": 1}}}, "unknown penalty kind {'capped-l1': 1}"),
+        ({"penalty": {"kind": "l1", "params": {"lam": -1.0}}}, "l1 requires lam >= 0"),
+    ], ids=["loss", "loss-list", "penalty", "penalty-dict", "penalty-param"])
+    def test_names_checked_before_the_data_is_made(self, tmp_path, monkeypatch, edit, message):
+        def no_data(cfg):
+            pytest.fail("the data was made before the names were checked")
+
+        monkeypatch.setattr(harness, "_load_dataset", no_data)
+        cfg = ExperimentConfig.from_dict({**desk_config(tmp_path).to_dict(), **edit})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_problem(cfg)
+
     def test_idx_data_subsampled(self, tmp_path):
         rng = np.random.default_rng(4)
         images, labels = rng.random((12, 6)), np.repeat([3, 7, 1], 4)

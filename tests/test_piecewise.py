@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from piecewise_prox import (
     Constant,
+    Dataset,
     PieceSpec,
     PiecewiseBuildError,
+    Problem,
     Quadratic,
     ScaledAbs,
     build_piecewise,
@@ -17,6 +19,7 @@ from piecewise_prox import (
     indicator_penalty,
     l0_penalty,
     l1_penalty,
+    least_squares,
     leaky_capped_l1,
     zero_penalty,
 )
@@ -446,6 +449,40 @@ class TestEvaluate:
             hi = min(p.right, 50.0)
             grid = np.linspace(lo + 1e-6, hi - 1e-6, 100)
             assert np.array_equal(fn.evaluate(grid), np.asarray(p.shape(grid)))
+
+
+BUILTIN_PENALTIES = [capped_l1(0.2, 1.0), indicator_penalty(2.0, 1.0), l0_penalty(1.0),
+                     leaky_capped_l1(1.0, 1.0, 0.5), l1_penalty(0.3), zero_penalty()]
+BUILTIN_IDS = ["capped-l1", "indicator", "l0", "leaky", "l1", "zero"]
+
+
+class TestNaN:
+    """A NaN coordinate values to NaN on every built-in piece, constant ones
+    too; finite and infinite inputs keep their values."""
+
+    @pytest.mark.parametrize("fn", BUILTIN_PENALTIES, ids=BUILTIN_IDS)
+    def test_every_piece_values_nan_to_nan(self, fn):
+        v = np.array([math.nan, 0.5, 0.0, -2.0])
+        for m, p in enumerate(fn.pieces, start=1):
+            assert math.isnan(float(p.shape(math.nan)))
+            assert math.isnan(fn.surrogate(m)(math.nan))
+            got = fn.surrogate(m)(v)
+            assert math.isnan(got[0])
+            assert np.array_equal(got[1:], fn.surrogate(m)(v[1:]))
+
+    def test_constant_keeps_its_value_elsewhere(self):
+        x = np.array([math.nan, -math.inf, -1.0, -0.0, 0.0, 2.5, math.inf])
+        for c in (0.0, -0.0, 0.7):
+            got = Constant(c)(x)
+            assert math.isnan(got[0])
+            assert got[1:].tobytes() == np.full(6, c).tobytes()
+            assert Constant(c)(1.0).shape == ()
+
+    def test_nan_coordinate_makes_the_penalty_nan(self):
+        # l0's point piece once valued the NaN at 0, so the sum read 0.2
+        prob = Problem(least_squares(Dataset(np.eye(3), np.zeros(3))), l0_penalty(0.2))
+        v = np.array([math.nan, 0.5, 0.0])
+        assert math.isnan(prob.surrogate_penalty(np.array([2, 3, 2]), v))
 
 
 class TestSurrogates:

@@ -28,9 +28,10 @@ from piecewise_prox import (
 from piecewise_prox.piecewise import Affine, Constant, ScaledAbs
 from piecewise_prox.prox import (
     _closure_candidate,
+    _flat,
+    _least_rows,
     _pick,
-    _pick_checked,
-    _pick_columns,
+    _pick_rows,
     _section_min,
     _section_scalar,
 )
@@ -527,7 +528,7 @@ def prox_true_by_membership(fn, s, u):
     cands = np.stack([_closure_candidate(sur, s, u, coords) for sur in fn.surrogates])
     psi = (cands - u) ** 2 / (2.0 * s) + fn.evaluate(cands)
     own = fn.piece_index(cands) == np.arange(1, fn.n_pieces + 1)[:, None]
-    return _pick_checked(cands, np.where(own, psi, np.inf), coords)
+    return cands.take(_flat(_least_rows(cands, np.where(own, psi, np.inf), coords)))
 
 
 def prox_true_draws(fn, s, rng, n=60):
@@ -784,13 +785,13 @@ class TestTieRule:
     def test_zero_signs_keep_the_earlier_row(self):
         psi = np.zeros((2, 1))
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            got = _pick_columns(np.array([[first], [second]]), psi)
+            got = np.array([first, second])[_pick_rows(np.array([[first], [second]]), psi)]
             assert np.signbit(got[0]) == np.signbit(first)
 
     def test_smaller_magnitude_then_negative(self):
         cands = np.array([[1.0, 2.0], [-1.0, -2.0], [1.5, 3.0]])
         psi = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.5]])
-        assert np.array_equal(_pick_columns(cands, psi), [-1.0, 3.0])
+        assert np.array_equal(cands.take(_flat(_pick_rows(cands, psi))), [-1.0, 3.0])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 7) | st.sampled_from([53, 54, 60]),
@@ -807,8 +808,9 @@ class TestTieRule:
                        rng.choice(TIE_PSI[1:], size=(rows, cols)))
         expect = tie_break_fold(cands, psi)
         # bytes, so that 0.0 and -0.0 differ
-        assert _pick_columns(cands, psi).tobytes() == expect.tobytes()
-        assert _pick_checked(cands, psi, np.arange(cols)).tobytes() == expect.tobytes()
+        assert cands.take(_flat(_pick_rows(cands, psi))).tobytes() == expect.tobytes()
+        rows = _least_rows(cands, psi, np.arange(cols))
+        assert cands.take(_flat(rows)).tobytes() == expect.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(TIE_VALUES), st.sampled_from(TIE_PSI)),

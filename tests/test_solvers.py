@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -688,6 +689,41 @@ class TestAtRest:
         assert trace.k[-1] == stop
 
 
+class TestTraceRows:
+    """Trace.k is derived from the row count; head cuts every per-row field."""
+
+    @pytest.mark.parametrize("case", ["rest", "stop-tol"])
+    def test_k_counts_the_rows(self, monkeypatch, case):
+        answers = _spy_at_rest(monkeypatch)
+        if case == "rest":  # x0 = 0 is the minimizer: at rest from row 1, filled up to K
+            prob = random_ls_problem(0, lam=10.0)
+            trace = ppgd(prob, np.zeros(prob.d), K=150)
+            assert any(answers) and len(trace.objective) == 151
+        else:  # stops on the residual test before K, never at rest
+            prob = few_moves_problem()
+            trace = ppgd(prob, np.zeros(prob.d), K=2000, stop_tol=1e-3)
+            assert not any(answers) and len(trace.objective) < 2001
+        assert trace.k.dtype == np.int64
+        assert np.array_equal(trace.k, np.arange(len(trace.objective)))
+
+    def test_head_is_the_shorter_run(self):
+        prob = dict(_seeded_problems())[0]
+        long = ppgd(prob, np.zeros(prob.d), K=60, record_timing=False)
+        short = ppgd(prob, np.zeros(prob.d), K=25, record_timing=False)
+        head = long.head(26)
+        assert math.isnan(head.final_residual)
+        head.final_residual = short.final_residual
+        _assert_same_trace(head, short)
+        assert np.array_equal(head.k, short.k)
+        _assert_same_trace(long.head(10 ** 6), long)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_head_needs_a_row(self, n):
+        prob = one_d_problem()
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            ppgd(prob, np.zeros(1), K=3).head(n)
+
+
 class TestResidual:
     def test_zero_at_minimizer(self):
         prob = one_d_problem()
@@ -720,6 +756,29 @@ class TestEstimateG:
         prob = Problem(least_squares(Dataset(np.eye(3), np.ones(3))), l1_penalty(0.1))
         with pytest.raises(ValueError, match=message):
             estimate_G(prob, np.zeros(3), **kw)
+
+    @pytest.mark.parametrize("x0, message", [
+        ([0.0, math.nan, 0.0], "x0 must hold 3 finite numbers"),
+        ([0.0, math.inf, 0.0], "x0 must hold 3 finite numbers"),
+        ([0.0, 0.0], r"x0 must hold 3 finite numbers, got shape \(2,\)"),
+        ([[0.0, 0.0, 0.0]], r"x0 must hold 3 finite numbers, got shape \(1, 3\)"),
+        (0.0, r"x0 must hold 3 finite numbers, got shape \(\)"),
+    ], ids=["nan", "inf", "short", "2-d", "scalar"])
+    def test_bad_x0_rejected(self, x0, message):
+        # these once gave nan with RuntimeWarnings, numpy's matmul message,
+        # or a bound from the 2-d x0's rows
+        prob = Problem(least_squares(Dataset(np.eye(3), np.ones(3))), l1_penalty(0.1))
+        with pytest.raises(ValueError, match=message):
+            estimate_G(prob, x0)
+
+    @pytest.mark.parametrize("iterates", [
+        np.zeros((4, 2)), np.zeros(3), np.zeros((0, 3)), np.zeros((2, 3, 1)),
+        np.array([[0.0, 0.0, 0.0], [0.0, math.nan, 0.0]]),
+    ], ids=["narrow", "1-d", "no-rows", "3-d", "nan"])
+    def test_bad_trace_iterates_rejected(self, iterates):
+        prob = Problem(least_squares(Dataset(np.eye(3), np.ones(3))), l1_penalty(0.1))
+        with pytest.raises(ValueError, match="trace iterates must be k >= 1 rows of 3 finite"):
+            estimate_G(prob, np.zeros(3), trace=SimpleNamespace(iterates=iterates))
 
     def test_constant_gradient_zero(self):
         prob = Problem(least_squares(Dataset(np.zeros((3, 3)), np.zeros(3))),
